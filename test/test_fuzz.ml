@@ -201,6 +201,9 @@ let test_jobs_identical () =
   Alcotest.(check string) "jobs=1 == jobs=4, byte-identical JSON"
     (Fuzz_report.to_json_string seq)
     (Fuzz_report.to_json_string par);
+  (* Golden pin: the report bytes themselves, not just their agreement. *)
+  Alcotest.(check string) "JSON report digest" "b4e007526f0f5eea8e11ed7dd16b456c"
+    (Digest.to_hex (Digest.string (Fuzz_report.to_json_string seq)));
   Alcotest.(check string) "corpus files byte-identical"
     (Corpus_io.to_string seq.Engine.corpus_cases)
     (Corpus_io.to_string par.Engine.corpus_cases)

@@ -109,7 +109,10 @@ let test_campaign_jobs_identical () =
   Alcotest.(check bool) "identical results" true (seq = par);
   Alcotest.(check string) "byte-identical JSON reports"
     (Robustness_report.to_json_string seq)
-    (Robustness_report.to_json_string par)
+    (Robustness_report.to_json_string par);
+  (* Golden pin: the report bytes themselves, not just their agreement. *)
+  Alcotest.(check string) "JSON report digest" "4fc309121f0d5ff9cf8a6f75bd961670"
+    (Digest.to_hex (Digest.string (Robustness_report.to_json_string seq)))
 
 let test_campaign_progress_stream () =
   let testcases = small_slice () in

@@ -214,6 +214,9 @@ let test_report_identical_across_jobs_and_obs () =
     Symex_report.to_json_string (Explore.run ~jobs ~obs Config.boom)
   in
   let reference = json ~jobs:1 ~obs:Obs.noop in
+  (* Golden pin: the report bytes themselves, not just their agreement. *)
+  Alcotest.(check string) "JSON report digest" "60ee726c3f185ea02c58d0152584d00e"
+    (Digest.to_hex (Digest.string reference));
   Alcotest.(check string) "jobs=4 byte-identical" reference
     (json ~jobs:4 ~obs:Obs.noop);
   Alcotest.(check string) "active sink byte-identical" reference

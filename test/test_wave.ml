@@ -270,6 +270,10 @@ let test_campaign_differential () =
   let base_csv, base_prov, _ = run ~wave:false ~jobs:1 ~snapshot:false in
   Alcotest.(check bool) "baseline finds provenance" true
     (base_prov <> "[]");
+  (* Golden pin: the provenance bytes themselves, not just their
+     agreement across the differential. *)
+  Alcotest.(check string) "provenance JSON digest" "c8a4a23cd3d806f945d4cb407cdf62a0"
+    (Digest.to_hex (Digest.string base_prov));
   let base_waves = ref None in
   List.iter
     (fun (wave, jobs, snapshot) ->
