@@ -90,10 +90,8 @@ let read_file path =
 let field_to_string v =
   match v with
   | Json.Str s -> Some s
-  | Json.Num n ->
-    Some
-      (if Float.is_integer n then string_of_int (int_of_float n)
-       else Printf.sprintf "%g" n)
+  | Json.Int i -> Some (string_of_int i)
+  | Json.Num n -> Some (Printf.sprintf "%g" n)
   | Json.Bool b -> Some (string_of_bool b)
   | _ -> None
 

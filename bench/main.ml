@@ -165,6 +165,23 @@ let find_ns results fragment =
       else acc)
     None results
 
+(* {1 Machine-readable records}
+
+   Every BENCH_*.json record is one {!Obs.Json.document}.  Measured
+   times and rates are rounded to the decimals the records have always
+   carried, so the files stay readable and diffable. *)
+
+let fixed digits x =
+  let scale = 10. ** float_of_int digits in
+  Obs.Json.Num (Float.round (x *. scale) /. scale)
+
+let core_name (config : Uarch.Config.t) =
+  String.lowercase_ascii (Uarch.Config.core_kind_to_string config.Uarch.Config.kind)
+
+let write_record ~path members =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Obs.Json.document members))
+
 (* {1 Machine-readable campaign record}
 
    BENCH_campaign.json tracks the perf trajectory across PRs: corpus
@@ -175,37 +192,25 @@ let find_ns results fragment =
    [timed_phase] wrapper. *)
 
 let write_campaign_json ~path results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"hardware_threads\": %d,\n"
-    (Parallel.Pool.default_jobs ());
-  Printf.bprintf buf "  \"corpus_size\": %d,\n" (Teesec.Fuzzer.total_cases ());
-  Buffer.add_string buf "  \"campaigns\": [\n";
-  List.iteri
-    (fun i ((r : Teesec.Campaign.result), wall_time_s) ->
-      Printf.bprintf buf
-        "    {\"core\": \"%s\", \"testcases\": %d, \"wall_time_s\": %.3f, \
-         \"cases_per_s\": %.1f, \
-         \"total_cycles\": %d, \"total_log_records\": %d, \
-         \"residue_warnings\": %d, \"found\": [%s], \"matches_paper\": %b}%s\n"
-        (String.lowercase_ascii
-           (Uarch.Config.core_kind_to_string r.Teesec.Campaign.config.Uarch.Config.kind))
-        r.Teesec.Campaign.total_cases wall_time_s
-        (float_of_int r.Teesec.Campaign.total_cases /. wall_time_s)
-        r.Teesec.Campaign.total_cycles r.Teesec.Campaign.total_log_records
-        r.Teesec.Campaign.residue_warnings
-        (String.concat ", "
-           (List.map
-              (fun c -> Printf.sprintf "\"%s\"" (Teesec.Case.to_string c))
-              r.Teesec.Campaign.found))
-        (Teesec.Campaign.matches_paper r)
-        (if i < List.length results - 1 then "," else ""))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let module C = Teesec.Campaign in
+  let campaign ((r : C.result), wall_time_s) =
+    Obs.Json.(
+      Obj
+        [ ("core", Str (core_name r.C.config)); ("testcases", Int r.C.total_cases);
+          ("wall_time_s", fixed 3 wall_time_s);
+          ("cases_per_s", fixed 1 (float_of_int r.C.total_cases /. wall_time_s));
+          ("total_cycles", Int r.C.total_cycles);
+          ("total_log_records", Int r.C.total_log_records);
+          ("residue_warnings", Int r.C.residue_warnings);
+          ("found", Arr (List.map (fun c -> Str (Teesec.Case.to_string c)) r.C.found));
+          ("matches_paper", Bool (C.matches_paper r)) ])
+  in
+  write_record ~path
+    Obs.Json.
+      [ ("jobs", Inline (Int jobs));
+        ("hardware_threads", Inline (Int (Parallel.Pool.default_jobs ())));
+        ("corpus_size", Inline (Int (Teesec.Fuzzer.total_cases ())));
+        ("campaigns", Rows (campaign, results)) ]
 
 (* {1 Machine-readable injection record}
 
@@ -216,35 +221,25 @@ let write_campaign_json ~path results =
    wall clock is wrapped around the call here. *)
 
 let write_inject_json ~path results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Buffer.add_string buf "  \"campaigns\": [\n";
-  List.iteri
-    (fun i ((r : Inject.Inject_campaign.result), wall_time_s) ->
-      let plans = List.length r.Inject.Inject_campaign.plan_results in
-      let units = plans * r.Inject.Inject_campaign.testcases in
-      Printf.bprintf buf
-        "    {\"core\": \"%s\", \"seed\": \"%s\", \"plans\": %d, \
-         \"testcases\": %d, \"faulted_runs\": %d, \"wall_time_s\": %.3f, \
-         \"cases_per_s\": %.1f, \"plan_totals\": {\"stable\": %d, \
-         \"spurious\": %d, \"masked\": %d}, \"baseline_matches_paper\": %b}%s\n"
-        (String.lowercase_ascii
-           (Uarch.Config.core_kind_to_string
-              r.Inject.Inject_campaign.config.Uarch.Config.kind))
-        (Riscv.Word.to_hex r.Inject.Inject_campaign.seed)
-        plans r.Inject.Inject_campaign.testcases units wall_time_s
-        (float_of_int units /. wall_time_s)
-        r.Inject.Inject_campaign.plan_totals.Inject.Inject_campaign.stable
-        r.Inject.Inject_campaign.plan_totals.Inject.Inject_campaign.spurious
-        r.Inject.Inject_campaign.plan_totals.Inject.Inject_campaign.masked
-        r.Inject.Inject_campaign.baseline_matches_paper
-        (if i < List.length results - 1 then "," else ""))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let module I = Inject.Inject_campaign in
+  let campaign ((r : I.result), wall_time_s) =
+    let units = List.length r.I.plan_results * r.I.testcases in
+    let totals = r.I.plan_totals in
+    Obs.Json.(
+      Obj
+        [ ("core", Str (core_name r.I.config));
+          ("seed", Str (Riscv.Word.to_hex r.I.seed));
+          ("plans", Int (List.length r.I.plan_results)); ("testcases", Int r.I.testcases);
+          ("faulted_runs", Int units); ("wall_time_s", fixed 3 wall_time_s);
+          ("cases_per_s", fixed 1 (float_of_int units /. wall_time_s));
+          ( "plan_totals",
+            Obj
+              [ ("stable", Int totals.I.stable); ("spurious", Int totals.I.spurious);
+                ("masked", Int totals.I.masked) ] );
+          ("baseline_matches_paper", Bool r.I.baseline_matches_paper) ])
+  in
+  write_record ~path
+    Obs.Json.[ ("jobs", Inline (Int jobs)); ("campaigns", Rows (campaign, results)) ]
 
 (* {1 Machine-readable snapshot/fork record}
 
@@ -366,35 +361,28 @@ let run_snapshot_phases () =
   phases
 
 let write_snapshot_json ~path phases =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"reps\": %d,\n" snapshot_reps;
-  Buffer.add_string buf "  \"phases\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf buf
-        "    {\"phase\": \"%s\", \"core\": \"boom\", \"units\": %d, \
-         \"replay_s\": %.3f, \"replay_units_per_s\": %.1f, \
-         \"snapshot_cold_s\": %.3f, \"snapshot_s\": %.3f, \
-         \"snapshot_units_per_s\": %.1f, \"speedup\": %.2f, \
-         \"snapshot\": {\"hits\": %d, \"misses\": %d, \"stores\": %d, \
-         \"restored_gadgets\": %d, \"replayed_gadgets\": %d}}%s\n"
-        p.sp_name p.sp_units p.sp_replay_s
-        (float_of_int p.sp_units /. p.sp_replay_s)
-        p.sp_snap_cold_s p.sp_snap_s
-        (float_of_int p.sp_units /. p.sp_snap_s)
-        (p.sp_replay_s /. p.sp_snap_s)
-        p.sp_stats.Teesec.Snapshot.hits p.sp_stats.Teesec.Snapshot.misses
-        p.sp_stats.Teesec.Snapshot.stores
-        p.sp_stats.Teesec.Snapshot.restored_gadgets
-        p.sp_stats.Teesec.Snapshot.replayed_gadgets
-        (if i < List.length phases - 1 then "," else ""))
-    phases;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let module S = Teesec.Snapshot in
+  let phase p =
+    let rate s = fixed 1 (float_of_int p.sp_units /. s) and st = p.sp_stats in
+    Obs.Json.(
+      Obj
+        [ ("phase", Str p.sp_name); ("core", Str "boom"); ("units", Int p.sp_units);
+          ("replay_s", fixed 3 p.sp_replay_s); ("replay_units_per_s", rate p.sp_replay_s);
+          ("snapshot_cold_s", fixed 3 p.sp_snap_cold_s);
+          ("snapshot_s", fixed 3 p.sp_snap_s);
+          ("snapshot_units_per_s", rate p.sp_snap_s);
+          ("speedup", fixed 2 (p.sp_replay_s /. p.sp_snap_s));
+          ( "snapshot",
+            Obj
+              [ ("hits", Int st.S.hits); ("misses", Int st.S.misses);
+                ("stores", Int st.S.stores);
+                ("restored_gadgets", Int st.S.restored_gadgets);
+                ("replayed_gadgets", Int st.S.replayed_gadgets) ] ) ])
+  in
+  write_record ~path
+    Obs.Json.
+      [ ("jobs", Inline (Int jobs)); ("reps", Inline (Int snapshot_reps));
+        ("phases", Rows (phase, phases)) ]
 
 (* {1 Machine-readable wave-tap record}
 
@@ -466,26 +454,20 @@ let run_wave_phase () =
   p
 
 let write_wave_json ~path p =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"reps\": %d,\n" wave_reps;
-  Buffer.add_string buf "  \"phases\": [\n";
-  Printf.bprintf buf
-    "    {\"phase\": \"%s\", \"core\": \"boom\", \"units\": %d, \
-     \"off_s\": %.3f, \"off_units_per_s\": %.1f, \"on_s\": %.3f, \
-     \"on_units_per_s\": %.1f, \"overhead\": %.3f, \"events\": %d, \
-     \"stream_bytes\": %d}\n"
-    p.wv_name p.wv_units p.wv_off_s
-    (float_of_int p.wv_units /. p.wv_off_s)
-    p.wv_on_s
-    (float_of_int p.wv_units /. p.wv_on_s)
-    (p.wv_on_s /. p.wv_off_s)
-    p.wv_events p.wv_stream_bytes;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let rate s = fixed 1 (float_of_int p.wv_units /. s) in
+  let phase =
+    Obs.Json.(
+      Obj
+        [ ("phase", Str p.wv_name); ("core", Str "boom"); ("units", Int p.wv_units);
+          ("off_s", fixed 3 p.wv_off_s); ("off_units_per_s", rate p.wv_off_s);
+          ("on_s", fixed 3 p.wv_on_s); ("on_units_per_s", rate p.wv_on_s);
+          ("overhead", fixed 3 (p.wv_on_s /. p.wv_off_s));
+          ("events", Int p.wv_events); ("stream_bytes", Int p.wv_stream_bytes) ])
+  in
+  write_record ~path
+    Obs.Json.
+      [ ("jobs", Inline (Int jobs)); ("reps", Inline (Int wave_reps));
+        ("phases", Rows (Fun.id, [ phase ])) ]
 
 (* {1 Machine-readable fuzzing record}
 
@@ -497,43 +479,29 @@ let write_wave_json ~path p =
    counts), so wall clocks are wrapped around the calls here. *)
 
 let write_fuzz_json ~path ~seed ~budget results =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"seed\": \"%s\",\n" (Riscv.Word.to_hex seed);
-  Printf.bprintf buf "  \"budget\": %d,\n" budget;
-  Buffer.add_string buf "  \"campaigns\": [\n";
-  List.iteri
-    (fun i ((r : Fuzz.Engine.report), wall_time_s) ->
-      Printf.bprintf buf
-        "    {\"core\": \"%s\", \"mode\": \"%s\", \"energy\": %d, \
-         \"executed\": %d, \"cases_to_full_table3\": %s, \
-         \"edges_covered\": %d, \"bits_covered\": %d, \
-         \"corpus_entries\": %d, \"distilled\": %d, \"wall_time_s\": %.3f, \
-         \"cases_per_s\": %.1f, \"discoveries\": [%s]}%s\n"
-        (String.lowercase_ascii
-           (Uarch.Config.core_kind_to_string r.Fuzz.Engine.config.Uarch.Config.kind))
-        (if r.Fuzz.Engine.options.Fuzz.Engine.energy > 0 then "guided"
-         else "random")
-        r.Fuzz.Engine.options.Fuzz.Engine.energy r.Fuzz.Engine.executed
-        (match r.Fuzz.Engine.cases_to_full_table3 with
-        | Some n -> string_of_int n
-        | None -> "null")
-        r.Fuzz.Engine.edges_covered r.Fuzz.Engine.bits_covered
-        r.Fuzz.Engine.corpus_entries r.Fuzz.Engine.distilled wall_time_s
-        (float_of_int r.Fuzz.Engine.executed /. wall_time_s)
-        (String.concat ", "
-           (List.map
-              (fun (d : Fuzz.Engine.discovery) ->
-                Printf.sprintf "{\"case\": \"%s\", \"at\": %d}"
-                  (Teesec.Case.to_string d.Fuzz.Engine.case) d.Fuzz.Engine.at)
-              r.Fuzz.Engine.discoveries))
-        (if i < List.length results - 1 then "," else ""))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let module E = Fuzz.Engine in
+  let discovery (d : E.discovery) =
+    Obs.Json.(Obj [ ("case", Str (Teesec.Case.to_string d.E.case)); ("at", Int d.E.at) ])
+  in
+  let campaign ((r : E.report), wall_time_s) =
+    Obs.Json.(
+      Obj
+        [ ("core", Str (core_name r.E.config));
+          ("mode", Str (if r.E.options.E.energy > 0 then "guided" else "random"));
+          ("energy", Int r.E.options.E.energy); ("executed", Int r.E.executed);
+          ( "cases_to_full_table3",
+            match r.E.cases_to_full_table3 with Some n -> Int n | None -> Null );
+          ("edges_covered", Int r.E.edges_covered);
+          ("bits_covered", Int r.E.bits_covered);
+          ("corpus_entries", Int r.E.corpus_entries); ("distilled", Int r.E.distilled);
+          ("wall_time_s", fixed 3 wall_time_s);
+          ("cases_per_s", fixed 1 (float_of_int r.E.executed /. wall_time_s));
+          ("discoveries", Arr (List.map discovery r.E.discoveries)) ])
+  in
+  write_record ~path
+    Obs.Json.
+      [ ("jobs", Inline (Int jobs)); ("seed", Inline (Str (Riscv.Word.to_hex seed)));
+        ("budget", Inline (Int budget)); ("campaigns", Rows (campaign, results)) ]
 
 (* {1 Machine-readable symbolic-execution record}
 
@@ -577,9 +545,7 @@ let run_symex_phases () =
       in
       let t = report.Symex.Explore.totals in
       {
-        sx_core =
-          String.lowercase_ascii
-            (Uarch.Config.core_kind_to_string config.Uarch.Config.kind);
+        sx_core = core_name config;
         sx_paths = t.Symex.Explore.paths_total;
         sx_witnesses = t.Symex.Explore.witnesses_total;
         sx_corpus_entries = List.length seeds;
@@ -589,26 +555,19 @@ let run_symex_phases () =
     [ boom; xiangshan ]
 
 let write_symex_json ~path phases =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"reps\": %d,\n" symex_reps;
-  Buffer.add_string buf "  \"phases\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf buf
-        "    {\"phase\": \"explore-%s\", \"paths\": %d, \"witnesses\": %d, \
-         \"corpus_entries\": %d, \"explore_s\": %.3f, \"paths_per_s\": %.1f, \
-         \"corpus_seed_s\": %.4f}%s\n"
-        p.sx_core p.sx_paths p.sx_witnesses p.sx_corpus_entries p.sx_explore_s
-        (float_of_int p.sx_paths /. p.sx_explore_s)
-        p.sx_seed_s
-        (if i < List.length phases - 1 then "," else ""))
-    phases;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let phase p =
+    Obs.Json.(
+      Obj
+        [ ("phase", Str ("explore-" ^ p.sx_core)); ("paths", Int p.sx_paths);
+          ("witnesses", Int p.sx_witnesses); ("corpus_entries", Int p.sx_corpus_entries);
+          ("explore_s", fixed 3 p.sx_explore_s);
+          ("paths_per_s", fixed 1 (float_of_int p.sx_paths /. p.sx_explore_s));
+          ("corpus_seed_s", fixed 4 p.sx_seed_s) ])
+  in
+  write_record ~path
+    Obs.Json.
+      [ ("jobs", Inline (Int jobs)); ("reps", Inline (Int symex_reps));
+        ("phases", Rows (phase, phases)) ]
 
 (* {1 Machine-readable campaign-service record}
 
@@ -714,24 +673,17 @@ let run_serve_phase () =
   phases
 
 let write_serve_json ~path phases =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"request\": \"campaign slice on boom\",\n";
-  Buffer.add_string buf "  \"phases\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf buf
-        "    {\"workers\": %d, \"shards\": %d, \"cold_s\": %.3f, \
-         \"cold_shards_per_s\": %.1f, \"warm_s\": %.3f, \"warm_hits\": %d}%s\n"
-        p.se_workers p.se_shards p.se_cold_s
-        (float_of_int p.se_shards /. p.se_cold_s)
-        p.se_warm_s p.se_warm_hits
-        (if i < List.length phases - 1 then "," else ""))
-    phases;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let phase p =
+    Obs.Json.(
+      Obj
+        [ ("workers", Int p.se_workers); ("shards", Int p.se_shards);
+          ("cold_s", fixed 3 p.se_cold_s);
+          ("cold_shards_per_s", fixed 1 (float_of_int p.se_shards /. p.se_cold_s));
+          ("warm_s", fixed 3 p.se_warm_s); ("warm_hits", Int p.se_warm_hits) ])
+  in
+  write_record ~path
+    Obs.Json.
+      [ ("request", Inline (Str "campaign slice on boom")); ("phases", Rows (phase, phases)) ]
 
 (* {1 Experiment regeneration} *)
 

@@ -59,9 +59,8 @@ let of_string s =
   go 1 0 [] lines
 
 let save ~path testcases =
-  let oc = open_out path in
-  output_string oc (to_string testcases);
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_string testcases))
 
 (* Read by line rather than by channel length so [path] may be a pipe. *)
 let load ~path =

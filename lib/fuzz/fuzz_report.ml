@@ -33,66 +33,49 @@ let pp fmt (r : Engine.report) =
   Format.fprintf fmt "  residue warnings: %d; simulated cycles: %d@."
     r.Engine.residue_warnings r.Engine.total_cycles
 
-(* {2 JSON} — hand-rolled like bench/main.ml and lib/inject. *)
+(* {2 JSON} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let json_discovery (d : Engine.discovery) =
-  Printf.sprintf "{\"case\": %s, \"at\": %d, \"testcase\": %s}"
-    (json_string (Case.to_string d.Engine.case))
-    d.Engine.at
-    (json_string d.Engine.testcase)
+let discovery_value (d : Engine.discovery) =
+  Obs.Json.(
+    Obj
+      [
+        ("case", Str (Case.to_string d.Engine.case));
+        ("at", Int d.Engine.at);
+        ("testcase", Str d.Engine.testcase);
+      ])
 
 let to_json_string (r : Engine.report) =
   let o = r.Engine.options in
-  let buf = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"core\": %s,\n"
-    (json_string
-       (String.lowercase_ascii
-          (Config.core_kind_to_string r.Engine.config.Config.kind)));
-  add "  \"mode\": %s,\n"
-    (json_string (if o.Engine.energy > 0 then "guided" else "random"));
-  add "  \"seed\": %s,\n" (json_string (Word.to_hex o.Engine.seed));
-  add "  \"budget\": %d,\n" o.Engine.budget;
-  add "  \"batch\": %d,\n" o.Engine.batch;
-  add "  \"energy\": %d,\n" o.Engine.energy;
-  add "  \"executed\": %d,\n" r.Engine.executed;
-  add "  \"edges_covered\": %d,\n" r.Engine.edges_covered;
-  add "  \"bits_covered\": %d,\n" r.Engine.bits_covered;
-  add "  \"corpus_entries\": %d,\n" r.Engine.corpus_entries;
-  add "  \"distilled\": %d,\n" r.Engine.distilled;
-  add "  \"found\": [%s],\n"
-    (String.concat ", "
-       (List.map (fun c -> json_string (Case.to_string c)) r.Engine.found));
-  add "  \"discoveries\": [%s],\n"
-    (String.concat ", " (List.map json_discovery r.Engine.discoveries));
-  add "  \"cases_to_full_table3\": %s,\n"
-    (match r.Engine.cases_to_full_table3 with
-    | Some n -> string_of_int n
-    | None -> "null");
-  add "  \"residue_warnings\": %d,\n" r.Engine.residue_warnings;
-  add "  \"total_cycles\": %d,\n" r.Engine.total_cycles;
-  add "  \"provenance\": %s\n" (Provenance.list_to_json r.Engine.provenance);
-  add "}\n";
-  Buffer.contents buf
+  let open Obs.Json in
+  let int n = Inline (Int n) and str s = Inline (Str s) in
+  document
+    [
+      ( "core",
+        str
+          (String.lowercase_ascii
+             (Config.core_kind_to_string r.Engine.config.Config.kind)) );
+      ("mode", str (if o.Engine.energy > 0 then "guided" else "random"));
+      ("seed", str (Word.to_hex o.Engine.seed));
+      ("budget", int o.Engine.budget);
+      ("batch", int o.Engine.batch);
+      ("energy", int o.Engine.energy);
+      ("executed", int r.Engine.executed);
+      ("edges_covered", int r.Engine.edges_covered);
+      ("bits_covered", int r.Engine.bits_covered);
+      ("corpus_entries", int r.Engine.corpus_entries);
+      ("distilled", int r.Engine.distilled);
+      ("found", Items ((fun c -> Str (Case.to_string c)), r.Engine.found));
+      ("discoveries", Items (discovery_value, r.Engine.discoveries));
+      ( "cases_to_full_table3",
+        Inline
+          (match r.Engine.cases_to_full_table3 with
+          | Some n -> Int n
+          | None -> Null) );
+      ("residue_warnings", int r.Engine.residue_warnings);
+      ("total_cycles", int r.Engine.total_cycles);
+      ("provenance", Items (Provenance.to_value, r.Engine.provenance));
+    ]
 
 let save_json ~path r =
-  let oc = open_out path in
-  output_string oc (to_json_string r);
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_json_string r))

@@ -1,6 +1,7 @@
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | Arr of t list
@@ -115,9 +116,15 @@ let parse_number st =
     advance st
   done;
   let text = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some f -> Num f
-  | None -> error st (Printf.sprintf "bad number %S" text)
+  let integral =
+    String.for_all (function '0' .. '9' | '-' -> true | _ -> false) text
+  in
+  match (if integral then int_of_string_opt text else None) with
+  | Some i -> Int i
+  | None -> (
+    match float_of_string_opt text with
+    | Some f -> Num f
+    | None -> error st (Printf.sprintf "bad number %S" text))
 
 (* Nesting is bounded so adversarial input ("[[[[…") fails with a
    {!Parse_error} instead of escaping as [Stack_overflow] — the parser
@@ -203,9 +210,98 @@ let member key = function
   | _ -> None
 
 let to_list = function Arr l -> Some l | _ -> None
-let to_string = function Str s -> Some s | _ -> None
-let to_number = function Num f -> Some f | _ -> None
+let to_str = function Str s -> Some s | _ -> None
+
+let to_number = function
+  | Num f -> Some f
+  | Int i -> Some (float_of_int i)
+  | _ -> None
+
 let to_bool = function Bool b -> Some b | _ -> None
 
 let number_field key v = Option.bind (member key v) to_number
-let string_field key v = Option.bind (member key v) to_string
+let string_field key v = Option.bind (member key v) to_str
+
+(* {2 Writer} *)
+
+let add_escaped buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+(* The shortest of %.15g/%.16g/%.17g that reads back as [f]; %.17g
+   always does. *)
+let float_repr f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let fits s = float_of_string s = f in
+    let s15 = Printf.sprintf "%.15g" f in
+    if fits s15 then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if fits s16 then s16 else Printf.sprintf "%.17g" f
+
+(* Every layout the writer produces is [left item sep item ... right]. *)
+let add_sep buf (left, sep, right) add items =
+  Buffer.add_string buf left;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf sep;
+      add x)
+    items;
+  Buffer.add_string buf right
+
+let rec to_buffer buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Num f -> Buffer.add_string buf (float_repr f)
+  | Str s -> add_escaped buf s
+  | Arr l -> add_sep buf ("[", ", ", "]") (to_buffer buf) l
+  | Obj fields ->
+    add_sep buf ("{", ", ", "}")
+      (fun (k, v) ->
+        add_escaped buf k;
+        Buffer.add_string buf ": ";
+        to_buffer buf v)
+      fields
+
+let to_string v =
+  let buf = Buffer.create 64 in
+  to_buffer buf v;
+  Buffer.contents buf
+
+let array f items =
+  let buf = Buffer.create 1024 in
+  add_sep buf ("[", ", ", "]") (fun x -> to_buffer buf (f x)) items;
+  Buffer.contents buf
+
+type member =
+  | Inline : t -> member
+  | Items : ('a -> t) * 'a list -> member
+  | Rows : ('a -> t) * 'a list -> member
+
+let document members =
+  let buf = Buffer.create 4096 in
+  add_sep buf ("{\n", ",\n", "\n}\n")
+    (fun (k, m) ->
+      Buffer.add_string buf "  ";
+      add_escaped buf k;
+      Buffer.add_string buf ": ";
+      match m with
+      | Inline v -> to_buffer buf v
+      | Items (f, items) ->
+        add_sep buf ("[", ", ", "]") (fun x -> to_buffer buf (f x)) items
+      | Rows (f, rows) ->
+        add_sep buf ("[\n    ", ",\n    ", "\n  ]") (fun x -> to_buffer buf (f x)) rows)
+    members;
+  Buffer.contents buf

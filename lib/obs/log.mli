@@ -21,7 +21,11 @@ val level_to_string : level -> string
 (** [level_of_string s] parses ["debug"|"info"|"warn"|"error"]. *)
 val level_of_string : string -> level option
 
+(** One scalar field; {!Tracer.arg} is the same type. *)
 type value = String of string | Int of int | Float of float | Bool of bool
+
+(** The one rendering of a {!value}; a non-finite [Float] is [null]. *)
+val value_to_json : value -> Json.t
 
 type t
 

@@ -456,61 +456,36 @@ let to_prometheus t =
   Mutex.unlock t.mutex;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_labels labels =
-  "{"
-  ^ String.concat ", "
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
-         labels)
-  ^ "}"
+let series_to_json s =
+  let open Json in
+  let value =
+    match s.state with
+    | Counter_state c -> [ ("value", Int c.count) ]
+    | Gauge_state g -> [ ("value", Num g.value) ]
+    | Histogram_state h ->
+      let acc = ref 0 in
+      let buckets =
+        Array.to_list
+          (Array.mapi
+             (fun i b ->
+               acc := !acc + h.counts.(i);
+               Obj [ ("le", Str (render_bound b)); ("count", Int !acc) ])
+             h.bounds)
+        @ [ Obj [ ("le", Str "+Inf"); ("count", Int h.total) ] ]
+      in
+      [ ("buckets", Arr buckets); ("sum", Num h.sum); ("count", Int h.total) ]
+  in
+  Obj
+    ([
+       ("name", Str s.name);
+       ("type", Str (kind_string s.state));
+       ("labels", Obj (List.map (fun (k, v) -> (k, Str v)) s.labels));
+     ]
+    @ value)
 
 let to_json t =
   Mutex.lock t.mutex;
   let series = List.rev t.rev_series in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"metrics\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Printf.bprintf buf
-        "  {\"name\": \"%s\", \"type\": \"%s\", \"labels\": %s, "
-        (json_escape s.name) (kind_string s.state) (json_labels s.labels);
-      (match s.state with
-      | Counter_state c -> Printf.bprintf buf "\"value\": %d}" c.count
-      | Gauge_state g ->
-        Printf.bprintf buf "\"value\": %s}"
-          (if Float.is_nan g.value then "null" else render_float g.value)
-      | Histogram_state h ->
-        let acc = ref 0 in
-        let buckets =
-          Array.to_list
-            (Array.mapi
-               (fun i b ->
-                 acc := !acc + h.counts.(i);
-                 Printf.sprintf "{\"le\": \"%s\", \"count\": %d}"
-                   (render_bound b) !acc)
-               h.bounds)
-          @ [ Printf.sprintf "{\"le\": \"+Inf\", \"count\": %d}" h.total ]
-        in
-        Printf.bprintf buf "\"buckets\": [%s], \"sum\": %s, \"count\": %d}"
-          (String.concat ", " buckets)
-          (render_float h.sum) h.total))
-    series;
-  Buffer.add_string buf "\n]}\n";
+  let json = Json.document [ ("metrics", Json.Rows (series_to_json, series)) ] in
   Mutex.unlock t.mutex;
-  Buffer.contents buf
+  json

@@ -95,9 +95,7 @@ let gc_sample t ~phase =
 (* {2 Export} *)
 
 let write_file ~path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
 (** Write the Chrome trace-event JSON.  No-op on {!noop}. *)
 let save_trace t ~path =

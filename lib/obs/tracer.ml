@@ -1,4 +1,4 @@
-type arg = String of string | Int of int | Float of float | Bool of bool
+type arg = Log.value = String of string | Int of int | Float of float | Bool of bool
 
 type phase = Begin | End | Instant | Metadata
 
@@ -118,66 +118,37 @@ let shift_events offset events =
 
 (* {2 Chrome trace-event JSON} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let render_arg = function
-  | String s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Int i -> string_of_int i
-  | Float f -> if Float.is_nan f then "null" else Printf.sprintf "%.9g" f
-  | Bool b -> string_of_bool b
-
-let render_args = function
-  | [] -> ""
-  | args ->
-    Printf.sprintf ", \"args\": {%s}"
-      (String.concat ", "
-         (List.map
-            (fun (k, v) ->
-              Printf.sprintf "\"%s\": %s" (json_escape k) (render_arg v))
-            args))
-
-let render_event ~pid e =
-  let ts_us = Int64.to_float e.ts /. 1e3 in
-  match e.ph with
-  | Metadata ->
-    Printf.sprintf
-      "{\"name\": \"%s\", \"ph\": \"M\", \"pid\": %d, \"tid\": %d%s}"
-      (json_escape e.name) pid e.tid (render_args e.args)
-  | ph ->
-    let ph_str, extra =
-      match ph with
-      | Begin -> ("B", "")
-      | End -> ("E", "")
-      | Instant -> ("i", ", \"s\": \"t\"")
-      | Metadata -> assert false
-    in
-    Printf.sprintf
-      "{\"name\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, \"pid\": %d, \
-       \"tid\": %d%s%s}"
-      (json_escape e.name) ph_str ts_us pid e.tid extra (render_args e.args)
+let event_to_json (pid, e) =
+  let open Json in
+  let ph, extra =
+    match e.ph with
+    | Begin -> ("B", [])
+    | End -> ("E", [])
+    | Instant -> ("i", [ ("s", Str "t") ])
+    | Metadata -> ("M", [])
+  in
+  (* Metadata events carry no timestamp, per the trace-event format. *)
+  let ts =
+    if e.ph = Metadata then []
+    else [ ("ts", Num (Int64.to_float e.ts /. 1e3)) ]
+  in
+  let args =
+    match e.args with
+    | [] -> []
+    | args ->
+      [ ("args", Obj (List.map (fun (k, v) -> (k, Log.value_to_json v)) args)) ]
+  in
+  Obj
+    ((("name", Str e.name) :: ("ph", Str ph) :: ts)
+    @ [ ("pid", Int pid); ("tid", Int e.tid) ]
+    @ extra @ args)
 
 let render_trace pid_events =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
-  List.iteri
-    (fun i (pid, e) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (render_event ~pid e))
-    pid_events;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  Json.document
+    [
+      ("displayTimeUnit", Json.Inline (Json.Str "ms"));
+      ("traceEvents", Json.Rows (event_to_json, pid_events));
+    ]
 
 let to_chrome_json t =
   render_trace (List.map (fun e -> (1, e)) (events t))

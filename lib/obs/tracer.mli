@@ -14,7 +14,7 @@
     exceptions too; use explicit pairs only for phases that cross
     function boundaries. *)
 
-type arg = String of string | Int of int | Float of float | Bool of bool
+type arg = Log.value = String of string | Int of int | Float of float | Bool of bool
 
 type phase = Begin | End | Instant | Metadata
 

@@ -91,10 +91,7 @@ let to_string log =
     (Log.to_list log);
   Buffer.contents buf
 
-let save ~path log =
-  let oc = open_out path in
-  (try write_channel oc log with e -> close_out oc; raise e);
-  close_out oc
+let save ~path log = Out_channel.with_open_text path (fun oc -> write_channel oc log)
 
 let parse_entries fields =
   let rec go acc = function

@@ -43,85 +43,82 @@ let pp fmt (r : Explore.t) =
 
 let to_text r = Format.asprintf "%a" pp r
 
-(* {2 JSON} — hand-rolled like the other report modules. *)
+(* {2 JSON} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let hex w = Obs.Json.Str (Word.to_hex w)
 
-let json_string s = Printf.sprintf "\"%s\"" (json_escape s)
-let json_bool b = if b then "true" else "false"
+let witness_value (w : Explore.witness) =
+  Obs.Json.(
+    Obj
+      [
+        ("args", Arr (Array.to_list (Array.map hex w.Explore.args)));
+        ("replay_ok", Bool w.Explore.replay_ok);
+        ("monitor_ok", Bool w.Explore.monitor_ok);
+      ])
 
-let json_witness (w : Explore.witness) =
-  Printf.sprintf "{\"args\": [%s], \"replay_ok\": %s, \"monitor_ok\": %s}"
-    (String.concat ", "
-       (Array.to_list (Array.map (fun a -> json_string (Word.to_hex a)) w.Explore.args)))
-    (json_bool w.Explore.replay_ok)
-    (json_bool w.Explore.monitor_ok)
+let leaf_value (l : Sbi_paths.leaf) =
+  Obs.Json.(
+    Obj
+      [
+        ("leaf_id", Int l.Sbi_paths.leaf_id);
+        ("outcome", Str (Sbi_paths.outcome_to_string l.Sbi_paths.outcome));
+        ("result", match l.Sbi_paths.result with Some r -> hex r | None -> Null);
+        ("eid", match l.Sbi_paths.eid with Some e -> Int e | None -> Null);
+      ])
 
-let json_leaf (l : Sbi_paths.leaf) =
-  Printf.sprintf
-    "{\"leaf_id\": %d, \"outcome\": %s, \"result\": %s, \"eid\": %s}"
-    l.Sbi_paths.leaf_id
-    (json_string (Sbi_paths.outcome_to_string l.Sbi_paths.outcome))
-    (match l.Sbi_paths.result with
-    | Some r -> json_string (Word.to_hex r)
-    | None -> "null")
-    (match l.Sbi_paths.eid with Some e -> string_of_int e | None -> "null")
+let path_value (p : Explore.path_report) =
+  let strs l = Obs.Json.Arr (List.map (fun s -> Obs.Json.Str s) l) in
+  Obs.Json.(
+    Obj
+      [
+        ("path_id", Int p.Explore.path_id);
+        ("leaf", match p.Explore.leaf with Some l -> leaf_value l | None -> Null);
+        ("decisions", Arr (List.map (fun b -> Bool b) p.Explore.decisions));
+        ("constraints", strs p.Explore.constraints);
+        ( "witness",
+          match p.Explore.witness with Some w -> witness_value w | None -> Null );
+        ("findings", strs (List.map Explore.finding_to_string p.Explore.findings));
+        ("baseline_reachable", Bool p.Explore.baseline_reachable);
+        ("steps", Int p.Explore.steps);
+      ])
 
-let json_path (p : Explore.path_report) =
-  Printf.sprintf
-    "{\"path_id\": %d, \"leaf\": %s, \"decisions\": [%s], \"constraints\": [%s], \
-     \"witness\": %s, \"findings\": [%s], \"baseline_reachable\": %s, \"steps\": %d}"
-    p.Explore.path_id
-    (match p.Explore.leaf with Some l -> json_leaf l | None -> "null")
-    (String.concat ", " (List.map json_bool p.Explore.decisions))
-    (String.concat ", " (List.map json_string p.Explore.constraints))
-    (match p.Explore.witness with Some w -> json_witness w | None -> "null")
-    (String.concat ", "
-       (List.map (fun f -> json_string (Explore.finding_to_string f)) p.Explore.findings))
-    (json_bool p.Explore.baseline_reachable)
-    p.Explore.steps
-
-let json_unit (u : Explore.unit_report) =
-  Printf.sprintf
-    "{\"scenario\": %s, \"call\": %s, \"forks\": %d, \"pruned\": %d, \
-     \"truncated\": %s, \"paths\": [%s]}"
-    (json_string u.Explore.scenario)
-    (json_string (Sbi.to_string u.Explore.call))
-    u.Explore.forks u.Explore.pruned
-    (json_bool u.Explore.truncated)
-    (String.concat ", " (List.map json_path u.Explore.paths))
+let unit_value (u : Explore.unit_report) =
+  Obs.Json.(
+    Obj
+      [
+        ("scenario", Str u.Explore.scenario);
+        ("call", Str (Sbi.to_string u.Explore.call));
+        ("forks", Int u.Explore.forks);
+        ("pruned", Int u.Explore.pruned);
+        ("truncated", Bool u.Explore.truncated);
+        ("paths", Arr (List.map path_value u.Explore.paths));
+      ])
 
 let to_json_string (r : Explore.t) =
   let t = r.Explore.totals in
-  Printf.sprintf
-    "{\n\
-    \  \"core\": %s,\n\
-    \  \"max_paths\": %d,\n\
-    \  \"truncated\": %s,\n\
-    \  \"totals\": {\"paths\": %d, \"witnesses\": %d, \"replay_ok\": %d, \
-     \"monitor_ok\": %d, \"symex_only\": %d, \"findings\": %d, \"unsat\": %d, \
-     \"gave_up\": %d, \"edges_covered\": %d},\n\
-    \  \"units\": [\n    %s\n  ]\n}\n"
-    (json_string r.Explore.core) r.Explore.max_paths
-    (json_bool r.Explore.truncated)
-    t.Explore.paths_total t.Explore.witnesses_total t.Explore.replay_ok_total
-    t.Explore.monitor_ok_total t.Explore.symex_only_total t.Explore.findings_total
-    t.Explore.unsat_total t.Explore.gave_up_total t.Explore.edges_covered
-    (String.concat ",\n    " (List.map json_unit r.Explore.units))
+  let open Obs.Json in
+  document
+    [
+      ("core", Inline (Str r.Explore.core));
+      ("max_paths", Inline (Int r.Explore.max_paths));
+      ("truncated", Inline (Bool r.Explore.truncated));
+      ( "totals",
+        Inline
+          (Obj
+             [
+               ("paths", Int t.Explore.paths_total);
+               ("witnesses", Int t.Explore.witnesses_total);
+               ("replay_ok", Int t.Explore.replay_ok_total);
+               ("monitor_ok", Int t.Explore.monitor_ok_total);
+               ("symex_only", Int t.Explore.symex_only_total);
+               ("findings", Int t.Explore.findings_total);
+               ("unsat", Int t.Explore.unsat_total);
+               ("gave_up", Int t.Explore.gave_up_total);
+               ("edges_covered", Int t.Explore.edges_covered);
+             ]) );
+      ("units", Rows (unit_value, r.Explore.units));
+    ]
 
 let save_json ~path r =
-  let oc = open_out path in
-  output_string oc (to_json_string r);
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_json_string r))

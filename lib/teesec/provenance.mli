@@ -62,6 +62,10 @@ val parse_id : string -> (string * string * int * Structure.t, string) result
 (** Renders the causal chain as numbered prose — the [explain] output. *)
 val pp_chain : Format.formatter -> t -> unit
 
+(** The record as a JSON object, for embedding in a report. *)
+val to_value : t -> Obs.Json.t
+
+(** [to_json p] = [Obs.Json.to_string (to_value p)]. *)
 val to_json : t -> string
 
 (** [list_to_json ps] is a JSON array of {!to_json} objects. *)

@@ -114,7 +114,5 @@ let generate ?(options = default_options) configs =
 
 let save ?options ~path configs =
   let report = generate ?options configs in
-  let oc = open_out path in
-  output_string oc report;
-  close_out oc;
+  Out_channel.with_open_text path (fun oc -> output_string oc report);
   String.length report

@@ -820,7 +820,7 @@ let parse_trace json =
   in
   List.map
     (fun ev ->
-      let str n = Option.bind (Obs.Json.member n ev) Obs.Json.to_string in
+      let str n = Option.bind (Obs.Json.member n ev) Obs.Json.to_str in
       let num n = Option.bind (Obs.Json.member n ev) Obs.Json.to_number in
       let req o what =
         match o with
@@ -835,7 +835,7 @@ let parse_trace json =
       let pname =
         if ph = "M" && name = "process_name" then
           Option.bind (Obs.Json.member "args" ev) (fun a ->
-              Option.bind (Obs.Json.member "name" a) Obs.Json.to_string)
+              Option.bind (Obs.Json.member "name" a) Obs.Json.to_str)
         else None
       in
       (ph, name, pid, tid, pname))
