@@ -32,6 +32,21 @@ let deactivate machine (f : Fault_plan.fault) =
   | Fault_model.Bit_flip _ | Fault_model.Snapshot_delay | Fault_model.Hpc_corrupt ->
     assert false
 
+(* Fire every pending fault whose window has opened by [cycle].  A
+   top-level function rather than a closure over the hook's state, so a
+   cycle with nothing due allocates nothing. *)
+let rec fire_due m ~pending ~active ~cycle =
+  match !pending with
+  | f :: rest when f.Fault_plan.window_start <= cycle ->
+    pending := rest;
+    if Fault_model.windowed f.Fault_plan.model then begin
+      activate m f;
+      active := (f, f.Fault_plan.window_start + f.Fault_plan.window_len) :: !active
+    end
+    else apply_oneshot m f;
+    fire_due m ~pending ~active ~cycle
+  | _ -> ()
+
 let arm machine (plan : Fault_plan.t) =
   (* Windows are relative to the arming cycle, so a plan perturbs the
      run identically whether the setup prefix was replayed or restored
@@ -46,24 +61,16 @@ let arm machine (plan : Fault_plan.t) =
   let hook m =
     let cycle = Machine.cycle m - base in
     (* Close expired windows before opening new ones, so a window of
-       length zero cycles never sticks. *)
-    let expired, still =
-      List.partition (fun ((_ : Fault_plan.fault), until) -> cycle >= until) !active
-    in
-    active := still;
-    List.iter (fun (f, _) -> deactivate m f) expired;
-    let rec fire () =
-      match !pending with
-      | f :: rest when f.Fault_plan.window_start <= cycle ->
-        pending := rest;
-        if Fault_model.windowed f.Fault_plan.model then begin
-          activate m f;
-          active := (f, f.Fault_plan.window_start + f.Fault_plan.window_len) :: !active
-        end
-        else apply_oneshot m f;
-        fire ()
-      | _ -> ()
-    in
-    fire ()
+       length zero cycles never sticks.  While no window is open there
+       is nothing to close. *)
+    (match !active with
+    | [] -> ()
+    | open_windows ->
+      let expired, still =
+        List.partition (fun ((_ : Fault_plan.fault), until) -> cycle >= until) open_windows
+      in
+      active := still;
+      List.iter (fun (f, _) -> deactivate m f) expired);
+    fire_due m ~pending ~active ~cycle
   in
   Machine.set_advance_hook machine (Some hook)

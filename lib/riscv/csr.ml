@@ -123,26 +123,54 @@ let canonical = function
   | Hpmcounter n -> Mhpmcounter n
   | id -> id
 
-type t = (id, Word.t) Hashtbl.t
+(* [mcycle], [minstret] and [mhpmcounter3..31] live in one flat unboxed
+   store, [counters], at byte offset [8 * n] for counter index [n]; the
+   user views alias the same slots.  Every other CSR stays in [others].
+   A counter bump is then one load and one store, with no hashing and no
+   boxed int64. *)
+type t = { counters : Bytes.t; others : (id, Word.t) Hashtbl.t }
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let counter_slots = 32
 let modelled_counters = [ 0; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
 
-let create () : t =
-  let t = Hashtbl.create 64 in
+(* Counter index [n] has a flat slot: 0 (mcycle), 2 (minstret), 3..31. *)
+let[@inline] has_slot n = n >= 0 && n < counter_slots && n <> 1
+
+let slot = function
+  | Mcycle | Cycle -> 0
+  | Minstret | Instret -> 2
+  | (Mhpmcounter n | Hpmcounter n) when n >= 3 && n < counter_slots -> n
+  | _ -> -1
+
+let create () =
+  (* The table holds only a handful of trap, translation and gate
+     registers, and it is copied into every machine snapshot, so it
+     starts small. *)
+  let others = Hashtbl.create 16 in
   (* By default no user-level counter access: the host OS must opt in,
      which riscv-pk does for cycle/instret/hpmcounters. *)
-  Hashtbl.replace t Mcounteren (Word.mask 32);
-  Hashtbl.replace t Scounteren (Word.mask 32);
-  t
+  Hashtbl.replace others Mcounteren (Word.mask 32);
+  Hashtbl.replace others Scounteren (Word.mask 32);
+  { counters = Bytes.make (8 * counter_slots) '\000'; others }
 
-let copy (t : t) : t = Hashtbl.copy t
+let copy t = { counters = Bytes.copy t.counters; others = Hashtbl.copy t.others }
 
-let restore_into (src : t) ~(into : t) =
-  Hashtbl.reset into;
-  Hashtbl.iter (fun id v -> Hashtbl.replace into id v) src
+let restore_into src ~into =
+  Bytes.blit src.counters 0 into.counters 0 (8 * counter_slots);
+  Hashtbl.reset into.others;
+  Hashtbl.iter (fun id v -> Hashtbl.replace into.others id v) src.others
 
-let raw_read t id = Option.value (Hashtbl.find_opt t (canonical id)) ~default:0L
-let raw_write t id v = Hashtbl.replace t (canonical id) v
+let raw_read t id =
+  let n = slot id in
+  if n >= 0 then get64 t.counters (8 * n)
+  else Option.value (Hashtbl.find_opt t.others (canonical id)) ~default:0L
+
+let raw_write t id v =
+  let n = slot id in
+  if n >= 0 then set64 t.counters (8 * n) v else Hashtbl.replace t.others (canonical id) v
 
 type access_result = Ok of Word.t | Illegal_instruction
 
@@ -175,7 +203,10 @@ let counter_id n =
   match n with 0 -> Mcycle | 2 -> Minstret | n -> Mhpmcounter n
 
 let bump_counter t n ~by =
-  let id = counter_id n in
-  raw_write t id (Int64.add (raw_read t id) by)
+  if has_slot n then set64 t.counters (8 * n) (Int64.add (get64 t.counters (8 * n)) by)
+  else
+    let id = counter_id n in
+    raw_write t id (Int64.add (raw_read t id) by)
 
+let add_cycles t n = set64 t.counters 0 (Int64.add (get64 t.counters 0) (Int64.of_int n))
 let reset_counters t = List.iter (fun n -> raw_write t (counter_id n) 0L) modelled_counters

@@ -58,7 +58,8 @@ val is_counter : id -> bool
     [Hpmcounter n] bit [n]). *)
 val counter_index : id -> int option
 
-(** A CSR register file. *)
+(** A CSR register file.  The cycle, instret and event counters sit in a
+    flat unboxed store, so {!bump_counter} allocates nothing. *)
 type t
 
 val create : unit -> t
@@ -92,6 +93,10 @@ val write : t -> priv:Priv.t -> id -> Word.t -> (unit, unit) result
     [Minstret] for n = 0 / 2).  The user views alias the machine
     counters. *)
 val bump_counter : t -> int -> by:int64 -> unit
+
+(** [add_cycles t n] is [bump_counter t 0 ~by:(Int64.of_int n)] without
+    boxing the increment: the machine calls it on every cycle advance. *)
+val add_cycles : t -> int -> unit
 
 (** [reset_counters t] zeroes every hardware performance counter — the
     flush-HPC mitigation of Table 4. *)

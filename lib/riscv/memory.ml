@@ -1,31 +1,46 @@
-type t = (int64, Word.t) Hashtbl.t
+(* Keyed by the granule index [addr lsr 3] as an immediate [int]: it
+   has at most 61 bits, so it always fits, and hashing or comparing it
+   touches no boxed int64. *)
+module Granules = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  (* Fold the high bits of a multiplicative mix into the low ones the
+     table indexes by, so strided granules spread over the buckets. *)
+  let hash g =
+    let h = g * 0x1E3779B97F4A7C15 in
+    h lxor (h lsr 32)
+end)
+
+type t = Word.t Granules.t
 
 let line_bytes = 64
-let create () : t = Hashtbl.create 4096
-let copy (t : t) : t = Hashtbl.copy t
+let create () : t = Granules.create 4096
+let copy (t : t) : t = Granules.copy t
 
 let restore_into (src : t) ~(into : t) =
-  Hashtbl.reset into;
-  Hashtbl.iter (fun g w -> Hashtbl.replace into g w) src
+  Granules.reset into;
+  Granules.iter (fun g w -> Granules.replace into g w) src
 
 (* Snapshot form: the written granules as a flat pair array, without
-   the source table's bucket array (which dominates a [Hashtbl.copy] of
-   a mostly-empty memory). *)
-type capture = (int64 * Word.t) array
+   the source table's bucket array (which dominates a [copy] of a
+   mostly-empty memory). *)
+type capture = (int * Word.t) array
 
-let capture (t : t) : capture = Array.of_seq (Hashtbl.to_seq t)
+let capture (t : t) : capture = Array.of_seq (Granules.to_seq t)
 
 let restore_capture (cap : capture) ~(into : t) =
-  Hashtbl.reset into;
-  Array.iter (fun (g, w) -> Hashtbl.replace into g w) cap
+  Granules.reset into;
+  Array.iter (fun (g, w) -> Granules.replace into g w) cap
 
-let granule addr = Int64.shift_right_logical addr 3
+let granule addr = Int64.to_int (Int64.shift_right_logical addr 3)
 let granule_base addr = Word.align_down addr ~alignment:8
 
 let read_word t addr =
-  Option.value (Hashtbl.find_opt t (granule addr)) ~default:0L
+  match Granules.find_opt t (granule addr) with Some w -> w | None -> 0L
 
-let write_word t addr v = Hashtbl.replace t (granule addr) v
+let write_word t addr v = Granules.replace t (granule addr) v
 
 let read_byte t addr =
   let w = read_word t (granule_base addr) in
@@ -73,4 +88,4 @@ let fill t ~addr ~size ~value =
     write_word t (Int64.add base (Int64.of_int (i * 8))) value
   done
 
-let words_written t = Hashtbl.length t
+let words_written t = Granules.length t

@@ -37,7 +37,9 @@ type entry = {
 val disabled_entry : entry
 
 (** A PMP unit: a fixed-size array of entries (16 in this model, matching
-    both evaluated cores). *)
+    both evaluated cores).  Every update re-decodes the entries' byte
+    ranges into unboxed columns, so {!check} and {!allows} allocate
+    nothing. *)
 type t
 
 val entry_count : int
@@ -60,7 +62,9 @@ val restore_into : t -> into:t -> unit
 val napot_entry : base:Word.t -> size:int -> perm:permission -> locked:bool -> entry
 
 (** [napot_range e] decodes the byte range [(base, size)] covered by a
-    NAPOT entry. *)
+    NAPOT entry.  [size] is taken modulo 2{^64}: an entry with 61 or more
+    trailing ones (e.g. [pmpaddr = -1], the "whole address space" idiom)
+    covers every address and reports [(0L, 0L)]. *)
 val napot_range : entry -> Word.t * int64
 
 type access_kind = Read | Write | Execute
@@ -81,8 +85,15 @@ val check :
 (** [allows t ~priv ~kind ~addr ~size] is [check ... = Allowed]. *)
 val allows : t -> priv:Priv.t -> kind:access_kind -> addr:Word.t -> size:int -> bool
 
-(** [region_of_entry t i] is the byte range covered by entry [i], if it is
-    active ([Tor] entries consult entry [i-1] for their base). *)
-val region_of_entry : t -> int -> (Word.t * int64) option
+(** [check_reference] is {!check} computed the slow way: every entry's
+    range is decoded afresh on each call.  It is the oracle the decoded
+    columns are tested against. *)
+val check_reference :
+  t -> priv:Priv.t -> kind:access_kind -> addr:Word.t -> size:int -> check_result
+
+(** [region_of_entry t i] is the inclusive byte range [(first, last)]
+    covered by entry [i], if it covers any byte ([Tor] entries consult
+    entry [i-1] for their base). *)
+val region_of_entry : t -> int -> (Word.t * Word.t) option
 
 val pp : Format.formatter -> t -> unit

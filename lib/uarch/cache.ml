@@ -130,55 +130,77 @@ let restore_into src ~into =
     done
   done;
   Array.blit src.next_victim 0 into.next_victim 0 src.sets
-let line_base addr = Word.align_down addr ~alignment:Memory.line_bytes
 
-let set_index t addr =
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (line_base addr) 6)
-                  (Int64.of_int t.sets))
+let[@inline] line_base addr = Int64.logand addr (Int64.lognot (Int64.of_int (Memory.line_bytes - 1)))
+
+(* The line number [addr lsr 6] is non-negative, so reducing it modulo
+   the power-of-two set count is a mask. *)
+let set_index t addr = Int64.to_int (Int64.shift_right_logical addr 6) land (t.sets - 1)
+
+(* What [find] returns on a miss: compared by physical equality, never
+   written. *)
+let absent = { valid = false; tag = 0L; dirty = false; data = [||] }
 
 let find t addr =
   let base = line_base addr in
   let set = t.lines.(set_index t addr) in
-  let rec go way =
-    if way >= t.ways then None
-    else if set.(way).valid && Int64.equal set.(way).tag base then Some set.(way)
-    else go (way + 1)
-  in
-  go 0
+  let found = ref absent in
+  let way = ref 0 in
+  while !way < t.ways do
+    let l = set.(!way) in
+    if l.valid && (l.tag : Word.t) = base then begin
+      found := l;
+      way := t.ways
+    end
+    else incr way
+  done;
+  !found
 
-let lookup t ~addr = Option.map (fun l -> Array.copy l.data) (find t addr)
+let lookup t ~addr =
+  let l = find t addr in
+  if l == absent then None else Some (Array.copy l.data)
 
-let word_index addr = Int64.to_int (Word.extract addr ~pos:3 ~len:3)
+let word_index addr = Int64.to_int (Int64.shift_right_logical addr 3) land (line_words - 1)
 
-let read_word t ~addr = Option.map (fun l -> l.data.(word_index addr)) (find t addr)
+let read_word t ~addr =
+  let l = find t addr in
+  if l == absent then None else Some l.data.(word_index addr)
+
+let read_word_or t ~addr ~default =
+  let l = find t addr in
+  if l == absent then default else l.data.(word_index addr)
 
 let write_word t ~addr v =
-  match find t addr with
-  | None -> false
-  | Some l ->
+  let l = find t addr in
+  if l == absent then false
+  else begin
     l.data.(word_index addr) <- v;
     l.dirty <- true;
     true
+  end
 
 let insert t ~addr line_data =
   assert (Array.length line_data = line_words);
-  let base = line_base addr in
-  match find t addr with
-  | Some l ->
+  let l = find t addr in
+  if l != absent then begin
     Array.blit line_data 0 l.data 0 line_words;
     None
-  | None ->
+  end
+  else begin
     let si = set_index t addr in
     let set = t.lines.(si) in
+    (* Prefer an invalid way; otherwise round-robin. *)
+    let way = ref 0 in
+    while !way < t.ways && set.(!way).valid do
+      incr way
+    done;
     let way =
-      (* Prefer an invalid way; otherwise round-robin. *)
-      let rec free w = if w >= t.ways then None else if set.(w).valid then free (w + 1) else Some w in
-      match free 0 with
-      | Some w -> w
-      | None ->
+      if !way < t.ways then !way
+      else begin
         let w = t.next_victim.(si) in
         t.next_victim.(si) <- (w + 1) mod t.ways;
         w
+      end
     in
     let victim = set.(way) in
     let evicted =
@@ -186,17 +208,19 @@ let insert t ~addr line_data =
       else None
     in
     victim.valid <- true;
-    victim.tag <- base;
+    victim.tag <- line_base addr;
     victim.dirty <- false;
     Array.blit line_data 0 victim.data 0 line_words;
     evicted
+  end
 
 let evict t ~addr =
-  match find t addr with
-  | None -> None
-  | Some l ->
+  let l = find t addr in
+  if l == absent then None
+  else begin
     l.valid <- false;
     Some (Array.copy l.data, l.dirty)
+  end
 
 let flush t =
   let dirty = ref [] in
@@ -212,7 +236,7 @@ let flush t =
     t.lines;
   !dirty
 
-let contains t ~addr = Option.is_some (find t addr)
+let contains t ~addr = find t addr != absent
 
 let valid_lines t =
   let acc = ref [] in

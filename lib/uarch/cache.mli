@@ -48,6 +48,10 @@ val lookup : t -> addr:Word.t -> Word.t array option
     cached line. *)
 val read_word : t -> addr:Word.t -> Word.t option
 
+(** [read_word_or t ~addr ~default] is [read_word] without the option:
+    [default] on a miss.  It allocates nothing. *)
+val read_word_or : t -> addr:Word.t -> default:Word.t -> Word.t
+
 (** [write_word t ~addr v] updates the aligned word at [addr] if the line
     is present, marking it dirty.  Returns [false] on a miss. *)
 val write_word : t -> addr:Word.t -> Word.t -> bool

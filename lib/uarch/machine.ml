@@ -134,12 +134,16 @@ let tap t ~kind ~structure ~slot ~value =
 let advance t n =
   assert (n >= 0);
   t.cycle <- t.cycle + n;
-  Csr.bump_counter t.csr 0 ~by:(Int64.of_int n);
+  Csr.add_cycles t.csr n;
   match t.advance_hook with
-  | Some hook when not t.in_advance_hook ->
+  | Some hook when not t.in_advance_hook -> (
     (* The hook's own perturbations burn cycles too; don't recurse. *)
     t.in_advance_hook <- true;
-    Fun.protect ~finally:(fun () -> t.in_advance_hook <- false) (fun () -> hook t)
+    match hook t with
+    | () -> t.in_advance_hook <- false
+    | exception e ->
+      t.in_advance_hook <- false;
+      raise e)
   | Some _ | None -> ()
 
 let context t = t.ctx
@@ -315,7 +319,7 @@ let drain_entries t entries =
            LFB — with a memset origin this is exactly leakage case D3. *)
         ignore (refill_l1 t ~paddr:g ~origin:e.origin ~trigger_prefetch:false)
       end;
-      let old = Option.value (Cache.read_word t.l1 ~addr:g) ~default:0L in
+      let old = Cache.read_word_or t.l1 ~addr:g ~default:0L in
       let offset = Int64.to_int (Int64.sub e.addr g) in
       let merged = merge_into_word ~old ~value:e.value ~offset ~size:e.size in
       ignore (Cache.write_word t.l1 ~addr:g merged);

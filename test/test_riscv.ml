@@ -159,6 +159,32 @@ let test_pmp_denied_entry_index () =
       (match entry_index with Some i -> string_of_int i | None -> "none")
   | Pmp.Allowed -> Alcotest.fail "expected denial")
 
+let test_pmp_top_of_address_space () =
+  (* pmpaddr = -1 in NAPOT mode is OpenSBI's "whole address space"
+     entry: every address matches, including the top granule. *)
+  let whole = { Pmp.mode = Pmp.Napot; perm = Pmp.read_write; locked = false; address = -1L } in
+  Alcotest.(check (pair word int64)) "pmpaddr = -1 spans everything" (0L, 0L) (Pmp.napot_range whole);
+  let t = Pmp.create () in
+  Pmp.set t 0 whole;
+  Alcotest.(check (option (pair word word))) "region" (Some (0L, -1L)) (Pmp.region_of_entry t 0);
+  List.iter
+    (fun addr ->
+      Alcotest.(check bool) (Printf.sprintf "S read at %Lx" addr) true
+        (Pmp.allows t ~priv:Priv.Supervisor ~kind:Pmp.Read ~addr ~size:8);
+      Alcotest.(check bool) (Printf.sprintf "S execute at %Lx" addr) false
+        (Pmp.allows t ~priv:Priv.Supervisor ~kind:Pmp.Execute ~addr ~size:4))
+    [ 0L; 0x8000_0000L; 0x7FFF_FFFF_FFFF_FFF8L; -8L ];
+  (* 61 trailing ones already cover 2^64 bytes. *)
+  Pmp.set t 0 { whole with address = 0x1FFF_FFFF_FFFF_FFFFL };
+  Alcotest.(check bool) "61 ones: S read at 0x8000_0000" true
+    (Pmp.allows t ~priv:Priv.Supervisor ~kind:Pmp.Read ~addr:0x8000_0000L ~size:8);
+  (* A NAPOT region ending exactly at 2^64 holds its last granule. *)
+  Pmp.set t 0 (napot 0xFFFF_FFFF_FFFF_F000L 4096 Pmp.read_only);
+  Alcotest.(check bool) "last granule of a top region" true
+    (Pmp.allows t ~priv:Priv.User ~kind:Pmp.Read ~addr:(-8L) ~size:8);
+  Alcotest.(check bool) "below the top region" false
+    (Pmp.allows t ~priv:Priv.User ~kind:Pmp.Read ~addr:0xFFFF_FFFF_FFFF_EFF8L ~size:8)
+
 (* {1 CSR} *)
 
 let test_csr_rw_privilege () =
@@ -445,12 +471,196 @@ let prop_walk_matches_mapping =
         Int64.equal got (Int64.add paddr (Int64.of_int offset))
       | Page_table.Fault _ -> false)
 
+(* {2 Decoded PMP columns vs the per-call reference decoder} *)
+
+let gen_pmpaddr =
+  let open QCheck.Gen in
+  oneof
+    [
+      (* Near 0, so TOR at index 0 and tiny NA4/NAPOT regions occur. *)
+      map Int64.of_int (int_range 0 64);
+      (* Around DRAM, with 0..12 trailing ones for NAPOT sizes. *)
+      map2
+        (fun off ones -> Int64.logor (Int64.of_int (0x2000_0000 + off)) (Word.mask ones))
+        (int_range 0 1024) (int_range 0 12);
+      (* The top of the address space, including the whole-space idiom. *)
+      oneofl
+        [ -1L; 0x1FFF_FFFF_FFFF_FFFFL; 0x0FFF_FFFF_FFFF_FFFFL; Int64.max_int;
+          0x3FFF_FFFF_FFFF_FFFFL; 0x3FFF_FFFF_FFFF_FC00L; -1024L ];
+      map Int64.of_int (int_range 0 0x4000_0000);
+    ]
+
+let gen_pmp_entry =
+  let open QCheck.Gen in
+  let* mode = oneofl [ Pmp.Off; Pmp.Tor; Pmp.Na4; Pmp.Napot ] in
+  let* read = bool and* write = bool and* execute = bool and* locked = bool in
+  let+ address = gen_pmpaddr in
+  { Pmp.mode; perm = { Pmp.read; write; execute }; locked; address }
+
+type pmp_op = Set of int * Pmp.entry | Clear | Save | Restore
+
+let gen_pmp_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (8, map2 (fun i e -> Set (i, e)) (int_bound (Pmp.entry_count - 1)) gen_pmp_entry);
+      (1, return Clear);
+      (1, return Save);
+      (1, return Restore);
+    ]
+
+let print_pmp_op = function
+  | Set (i, e) ->
+    Printf.sprintf "set %d %s%s addr=%Lx" i
+      (match e.Pmp.mode with Pmp.Off -> "off" | Pmp.Tor -> "tor" | Pmp.Na4 -> "na4" | Pmp.Napot -> "napot")
+      (if e.Pmp.locked then " L" else "") e.Pmp.address
+  | Clear -> "clear"
+  | Save -> "save"
+  | Restore -> "restore"
+
+(* Access addresses around every range end of the table, plus a few
+   fixed points, so straddling accesses are common. *)
+let probe_addresses t =
+  let ends =
+    List.concat_map
+      (fun i ->
+        match Pmp.region_of_entry t i with Some (first, last) -> [ first; Int64.succ last ] | None -> [])
+      (List.init Pmp.entry_count Fun.id)
+  in
+  List.concat_map
+    (fun a -> List.map (fun d -> Int64.add a (Int64.of_int d)) [ -8; -4; -1; 0; 1; 4; 7 ])
+    (0L :: 0x8000_0000L :: -8L :: ends)
+
+let pmp_agrees t =
+  List.for_all
+    (fun addr ->
+      List.for_all
+        (fun priv ->
+          List.for_all
+            (fun kind ->
+              List.for_all
+                (fun size ->
+                  let reference = Pmp.check_reference t ~priv ~kind ~addr ~size in
+                  Pmp.check t ~priv ~kind ~addr ~size = reference
+                  && Pmp.allows t ~priv ~kind ~addr ~size = (reference = Pmp.Allowed))
+                [ 1; 2; 4; 8 ])
+            [ Pmp.Read; Pmp.Write; Pmp.Execute ])
+        [ Priv.User; Priv.Supervisor; Priv.Machine ])
+    (probe_addresses t)
+
+let prop_pmp_check_matches_reference =
+  QCheck.Test.make ~name:"PMP check == per-call reference across set/clear/copy/restore"
+    ~count:200
+    (QCheck.make ~print:(QCheck.Print.list print_pmp_op)
+       QCheck.Gen.(list_size (int_range 1 24) gen_pmp_op))
+    (fun ops ->
+      let live = Pmp.create () in
+      let saved = ref (Pmp.copy live) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Set (i, e) ->
+            Pmp.set live i e;
+            pmp_agrees live
+          | Clear ->
+            Pmp.clear live;
+            pmp_agrees live
+          | Save ->
+            saved := Pmp.copy live;
+            pmp_agrees !saved
+          | Restore ->
+            Pmp.restore_into !saved ~into:live;
+            pmp_agrees live)
+        ops)
+
+(* {2 Flat CSR counters vs a table model}
+
+   The model is the register file as a plain [Hashtbl] keyed by the
+   canonical CSR, with the user counter views aliased onto the machine
+   counters. *)
+
+let csr_canonical = function
+  | Csr.Cycle -> Csr.Mcycle
+  | Csr.Instret -> Csr.Minstret
+  | Csr.Hpmcounter n -> Csr.Mhpmcounter n
+  | id -> id
+
+let model_read m id = Option.value (Hashtbl.find_opt m (csr_canonical id)) ~default:0L
+let model_write m id v = Hashtbl.replace m (csr_canonical id) v
+let model_counter n = match n with 0 -> Csr.Mcycle | 2 -> Csr.Minstret | n -> Csr.Mhpmcounter n
+
+let csr_ids =
+  [ Csr.Cycle; Csr.Instret; Csr.Mcycle; Csr.Minstret; Csr.Mstatus; Csr.Mepc; Csr.Satp;
+    Csr.Mcounteren; Csr.Scounteren; Csr.Pmpaddr 3 ]
+  @ List.concat_map (fun n -> [ Csr.Mhpmcounter n; Csr.Hpmcounter n ]) (List.init 35 (fun n -> n - 1))
+
+type csr_op =
+  | Raw_write of Csr.id * int64
+  | Bump of int * int64
+  | Csr_save
+  | Csr_restore
+  | Reset
+
+let gen_csr_op =
+  let open QCheck.Gen in
+  let value = oneof [ oneofl [ 0L; 1L; -1L; Int64.max_int; Int64.min_int ]; ui64 ] in
+  frequency
+    [
+      (3, map2 (fun id v -> Raw_write (id, v)) (oneofl csr_ids) value);
+      (6, map2 (fun n by -> Bump (n, by)) (int_range (-1) 33) value);
+      (1, return Csr_save);
+      (1, return Csr_restore);
+      (1, return Reset);
+    ]
+
+let print_csr_op = function
+  | Raw_write (id, v) -> Printf.sprintf "write %s %Ld" (Csr.name id) v
+  | Bump (n, by) -> Printf.sprintf "bump %d by %Ld" n by
+  | Csr_save -> "save"
+  | Csr_restore -> "restore"
+  | Reset -> "reset"
+
+let prop_csr_counters_match_model =
+  QCheck.Test.make ~name:"flat CSR counters == Hashtbl model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print_csr_op)
+       QCheck.Gen.(list_size (int_range 1 40) gen_csr_op))
+    (fun ops ->
+      let t = Csr.create () and m = Hashtbl.create 64 in
+      model_write m Csr.Mcounteren (Word.mask 32);
+      model_write m Csr.Scounteren (Word.mask 32);
+      let saved = ref (Csr.copy t) and saved_m = ref (Hashtbl.copy m) in
+      let agrees t m = List.for_all (fun id -> Int64.equal (Csr.raw_read t id) (model_read m id)) csr_ids in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Raw_write (id, v) ->
+            Csr.raw_write t id v;
+            model_write m id v
+          | Bump (n, by) ->
+            Csr.bump_counter t n ~by;
+            let id = model_counter n in
+            model_write m id (Int64.add (model_read m id) by)
+          | Csr_save ->
+            saved := Csr.copy t;
+            saved_m := Hashtbl.copy m
+          | Csr_restore ->
+            Csr.restore_into !saved ~into:t;
+            Hashtbl.reset m;
+            Hashtbl.iter (fun id v -> Hashtbl.replace m id v) !saved_m
+          | Reset ->
+            Csr.reset_counters t;
+            List.iter (fun n -> model_write m (model_counter n) 0L) Csr.modelled_counters);
+          agrees t m && agrees !saved !saved_m)
+        ops)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_extract_of_mask;
       prop_align_down_le;
       prop_napot_contains_base;
+      prop_pmp_check_matches_reference;
+      prop_csr_counters_match_model;
       prop_memory_rw_roundtrip;
       prop_walk_matches_mapping;
     ]
@@ -479,6 +689,7 @@ let () =
           Alcotest.test_case "TOR regions" `Quick test_pmp_tor;
           Alcotest.test_case "execute permission" `Quick test_pmp_exec_permission;
           Alcotest.test_case "denied entry index" `Quick test_pmp_denied_entry_index;
+          Alcotest.test_case "top of the address space" `Quick test_pmp_top_of_address_space;
         ] );
       ( "csr",
         [

@@ -858,6 +858,100 @@ let test_enclave_code_residue_in_icache () =
   Alcotest.(check bool) "enclave code line survives the switch" true
     (Machine.l1i_contains m ~addr:0x8800_0000L)
 
+(* {1 Datapath: allocation and full-width addresses} *)
+
+(* Minor words allocated per call of [f] over [calls] calls, after one
+   warm-up call.  Any allocation costs at least two words (header plus
+   field), so "fewer than one word per call" means "none": the slack
+   absorbs the measurement's own boxed floats. *)
+let minor_words_per_call ~calls f =
+  f 0;
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let check_allocation_free name f =
+  (* Bytecode boxes every int64 operation; only native code is meant to
+     be allocation-free. *)
+  if Sys.backend_type = Sys.Native then
+    let words = minor_words_per_call ~calls:10_000 f in
+    if words >= 1.0 then Alcotest.failf "%s allocates %.2f words per call" name words
+
+let test_pmp_allows_allocation_free () =
+  let m = machine_with_pmp Config.boom in
+  let pmp = Machine.pmp m in
+  Pmp.set pmp 1
+    { Pmp.mode = Pmp.Tor; perm = Pmp.read_only; locked = true;
+      address = Int64.shift_right_logical 0x9000_0000L 2 };
+  List.iter
+    (fun (what, priv, kind, addr) ->
+      (* Boxed up front, so the loop measures only [allows]. *)
+      let addrs = Array.init 8 (fun k -> Int64.add addr (Int64.of_int (8 * k))) in
+      check_allocation_free ("Pmp.allows " ^ what) (fun i ->
+          ignore (Pmp.allows pmp ~priv ~kind ~addr:addrs.(i land 7) ~size:8)))
+    [
+      ("full match", Priv.Supervisor, Pmp.Write, 0x8000_1000L);
+      ("denied entry", Priv.User, Pmp.Read, 0x8800_0000L);
+      ("partial match", Priv.Supervisor, Pmp.Read, 0x8800_FFFCL);
+      ("no match", Priv.Supervisor, Pmp.Read, 0x1000L);
+      ("machine mode", Priv.Machine, Pmp.Execute, 0x8800_0100L);
+    ]
+
+let test_csr_bump_allocation_free () =
+  let csr = Csr.create () in
+  List.iter
+    (fun n ->
+      check_allocation_free (Printf.sprintf "Csr.bump_counter %d" n) (fun _ ->
+          Csr.bump_counter csr n ~by:1L))
+    Csr.modelled_counters;
+  Alcotest.(check word) "mcycle counted every bump" 10_001L (Csr.raw_read csr Csr.Cycle)
+
+let test_advance_allocation_free () =
+  let m = machine_with_pmp Config.boom in
+  check_allocation_free "Machine.advance, no hook" (fun _ -> Machine.advance m 1);
+  let calls = ref 0 in
+  Machine.set_advance_hook m (Some (fun _ -> incr calls));
+  check_allocation_free "Machine.advance, hook armed" (fun _ -> Machine.advance m 3);
+  Alcotest.(check int) "hook ran on every advance" 10_001 !calls;
+  (* An armed fault plan whose only window has not opened yet. *)
+  let far =
+    { Inject.Fault_plan.model = Inject.Fault_model.Pmp_stuck_grant; window_start = 1_000_000;
+      window_len = 10; select = 0; bit = 0 }
+  in
+  Inject.Injector.arm m { Inject.Fault_plan.id = 0; plan_seed = 0L; faults = [ far ] };
+  check_allocation_free "Machine.advance, fault plan armed" (fun _ -> Machine.advance m 1);
+  Alcotest.(check word) "mcycle tracks the cycle count" (Int64.of_int (Machine.cycle m))
+    (Csr.raw_read (Machine.csr m) Csr.Mcycle)
+
+let test_memory_top_addresses () =
+  let mem = Memory.create () in
+  let cases =
+    [ (0xFFFF_FFFF_FFFF_FFF8L, 0x1111L); (0x7FFF_FFFF_FFFF_FFF8L, 0x2222L);
+      (0x8000_0000_0000_0000L, 0x3333L) ]
+  in
+  List.iter (fun (addr, v) -> Memory.write mem ~addr ~size:8 v) cases;
+  Alcotest.(check int) "three distinct granules" 3 (Memory.words_written mem);
+  let check_all what mem =
+    List.iter
+      (fun (addr, v) ->
+        let name = Printf.sprintf "%s %Lx" what addr in
+        Alcotest.(check word) (name ^ " read") v (Memory.read mem ~addr ~size:8);
+        let line = Memory.read_line mem ~addr in
+        Alcotest.(check word) (name ^ " read_line") v
+          line.(Int64.to_int (Int64.logand (Int64.shift_right_logical addr 3) 7L));
+        Alcotest.(check word) (name ^ " neighbour") 0L
+          (Memory.read mem ~addr:(Int64.logxor addr 8L) ~size:8))
+      cases
+  in
+  check_all "written" mem;
+  let restored = Memory.create () in
+  Memory.write restored ~addr:0L ~size:8 0xDEADL;
+  Memory.restore_capture (Memory.capture mem) ~into:restored;
+  check_all "restored" restored;
+  Alcotest.(check word) "restore drops old granules" 0L (Memory.read restored ~addr:0L ~size:8)
+
 (* {1 Properties} *)
 
 let prop_cache_read_after_insert =
@@ -1014,6 +1108,15 @@ let () =
           Alcotest.test_case "BOOM v2.3 configuration" `Quick test_boom_v2_config;
           Alcotest.test_case "l2 eviction" `Quick test_evict_line_l2;
           Alcotest.test_case "memset region" `Quick test_memset_region;
+        ] );
+      ( "datapath",
+        [
+          Alcotest.test_case "Pmp.allows allocates nothing" `Quick test_pmp_allows_allocation_free;
+          Alcotest.test_case "Csr.bump_counter allocates nothing" `Quick
+            test_csr_bump_allocation_free;
+          Alcotest.test_case "Machine.advance allocates nothing" `Quick
+            test_advance_allocation_free;
+          Alcotest.test_case "top-of-space memory addresses" `Quick test_memory_top_addresses;
         ] );
       ("properties", properties);
     ]
