@@ -21,11 +21,7 @@ let engine_for engines ~wave config =
     snap
 
 let config_exn ~core ~mitigations =
-  match
-    Request.config_of
-      (Request.Campaign
-         { core; mitigations; corpus = Request.Slice })
-  with
+  match Request.resolve_config ~core ~mitigations with
   | Ok config -> config
   | Error msg -> invalid_arg ("Executor: " ^ msg)
 

@@ -67,7 +67,7 @@ let shard_digest ~config ~kind_fields ~corpus_digest =
 let plan ?(max_shard_cases = default_max_shard_cases) spec =
   if max_shard_cases < 1 then Error "max_shard_cases must be >= 1"
   else
-    match Request.config_of spec with
+    match Request.validate spec with
     | Error e -> Error e
     | Ok config -> (
       let mk_shards ~by_family ~kind_fields ~mk_work cases =

@@ -27,8 +27,9 @@ type shard = {
   work : Request.work;
 }
 
-(** [plan ?max_shard_cases spec] validates the request and splits it.
-    [Error] reports an unknown core or mitigation, or an empty corpus. *)
+(** [plan ?max_shard_cases spec] validates the request
+    ({!Request.validate}) and splits it.  [Error] reports an unknown core
+    or mitigation, an out-of-range parameter, or an empty corpus. *)
 val plan :
   ?max_shard_cases:int -> Request.spec -> (shard list, string) result
 

@@ -80,13 +80,30 @@ let config_of = function
   | Inject { core; _ } | Fuzz { core; _ } ->
     resolve_config ~core ~mitigations:[]
 
+(* The pipelines reject these with [Invalid_argument] (or a List.init
+   failure); checking them here refuses a bad spec before it reaches a
+   one-shot run or a daemon worker. *)
+let check_ranges = function
+  | Inject { faults; _ } when faults < 0 ->
+    Error (Printf.sprintf "faults must be >= 0, got %d" faults)
+  | Fuzz { options = { Engine.budget; _ }; _ } when budget < 0 ->
+    Error (Printf.sprintf "budget must be >= 0, got %d" budget)
+  | Fuzz { options = { Engine.batch; _ }; _ } when batch < 1 ->
+    Error (Printf.sprintf "batch must be >= 1, got %d" batch)
+  | Fuzz { options = { Engine.energy; _ }; _ } when energy < 0 || energy > 100 ->
+    Error (Printf.sprintf "energy must be in 0..100, got %d" energy)
+  | Campaign _ | Inject _ | Fuzz _ -> Ok ()
+
+let validate spec = Result.bind (check_ranges spec) (fun () -> config_of spec)
+
+let corpus_cases = function
+  | Slice -> Mitigation_eval.slice ()
+  | Full -> Fuzzer.corpus ()
+  | Random { count; seed } -> Fuzzer.random_corpus ~seed ~count
+
 let corpus_of = function
-  | Campaign { corpus = Slice; _ } -> Mitigation_eval.slice ()
-  | Campaign { corpus = Full; _ } -> Fuzzer.corpus ()
-  | Campaign { corpus = Random { count; seed }; _ } ->
-    Fuzzer.random_corpus ~seed ~count
-  | Inject { full; _ } ->
-    if full then Fuzzer.corpus () else Mitigation_eval.slice ()
+  | Campaign { corpus; _ } -> corpus_cases corpus
+  | Inject { full; _ } -> corpus_cases (if full then Full else Slice)
   | Fuzz _ -> []
 
 let corpus_kind_string = function

@@ -44,13 +44,29 @@ type spec =
 (** "campaign", "inject" or "fuzz". *)
 val kind : spec -> string
 
-(** Resolve the core name (and, for campaigns, the mitigation names)
+(** Resolve a core name and mitigation names (both case-insensitive)
     into a machine configuration.  [Error] names the unknown core or
     mitigation. *)
+val resolve_config :
+  core:string -> mitigations:string list -> (Config.t, string) result
+
+(** {!resolve_config} on the spec's core (and, for campaigns, its
+    mitigations). *)
 val config_of : spec -> (Config.t, string) result
 
-(** The test-case corpus the request covers, in execution order.  Empty
-    for fuzz requests (the engine generates its own candidate stream). *)
+(** {!config_of} after a range check of the numeric parameters: inject
+    [faults >= 0]; fuzz [budget >= 0], [batch >= 1], [energy] in
+    [0..100].  [Error] names the first offending field.  The planner
+    and the CLI both gate on this, so the daemon and the one-shot
+    subcommands refuse the same specs. *)
+val validate : spec -> (Config.t, string) result
+
+(** The test cases a corpus choice stands for, in execution order. *)
+val corpus_cases : corpus_kind -> Testcase.t list
+
+(** The test-case corpus the request covers ({!corpus_cases} of its
+    corpus choice).  Empty for fuzz requests (the engine generates its
+    own candidate stream). *)
 val corpus_of : spec -> Testcase.t list
 
 (** Canonical (field, value) pairs identifying the request — the input

@@ -76,6 +76,51 @@ let test_fuzz_rejects_bad_energy () =
   Alcotest.(check bool) "message explains the range" true
     (contains ~needle:"0" out)
 
+(* Out-of-range run parameters are command-line errors, identically for
+   the one-shot subcommand and for `submit`, which share the terms; the
+   bodies never run, so no daemon is needed. *)
+let test_out_of_range_rejected () =
+  List.iter
+    (fun (kind, flag) ->
+      List.iter
+        (fun argv ->
+          let code, _ = Cmds.eval_captured ~argv:(Array.of_list ("teesec_cli" :: argv)) in
+          Alcotest.(check int) (String.concat " " argv ^ " exits 124") 124 code)
+        [ [ kind; flag ]; [ "submit"; "--kind"; kind; flag ] ])
+    [
+      ("inject", "--faults=-1");
+      ("fuzz", "--budget=-1");
+      ("fuzz", "--batch=0");
+      ("fuzz", "--energy=-1");
+      ("fuzz", "--energy=150");
+      ("campaign", "--mitigation=prayer");
+    ];
+  let code, _ =
+    Cmds.eval_captured ~argv:[| "teesec_cli"; "symex"; "--max-paths=0" |]
+  in
+  Alcotest.(check int) "symex --max-paths=0 exits 124" 124 code
+
+(* A missing input file is a reported error (exit 1), not an uncaught
+   exception (125).  The error path exits, so run it in a child. *)
+let test_missing_file_is_an_error () =
+  List.iter
+    (fun checker ->
+      match Unix.fork () with
+      | 0 ->
+        let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        Unix.dup2 null Unix.stdout;
+        Unix.dup2 null Unix.stderr;
+        exit
+          (fst
+             (Cmds.eval_captured
+                ~argv:[| "teesec_cli"; checker; "/nonexistent/input" |]))
+      | pid -> (
+        match snd (Unix.waitpid [] pid) with
+        | Unix.WEXITED code ->
+          Alcotest.(check int) (checker ^ " on a missing file exits 1") 1 code
+        | _ -> Alcotest.failf "%s was killed" checker))
+    [ "vcd-check"; "trace-check" ]
+
 (* The `version` subcommand prints Serve.Protocol.version_string, and
    scripts parse it to pick a matching client — pin the format here. *)
 let test_version_string () =
@@ -101,6 +146,10 @@ let () =
           Alcotest.test_case "unknown subcommand" `Quick test_unknown_subcommand;
           Alcotest.test_case "fuzz validates --energy" `Quick
             test_fuzz_rejects_bad_energy;
+          Alcotest.test_case "out-of-range values rejected by one-shot and submit"
+            `Quick test_out_of_range_rejected;
+          Alcotest.test_case "checkers report a missing file" `Quick
+            test_missing_file_is_an_error;
           Alcotest.test_case "version string format" `Quick
             test_version_string;
         ] );

@@ -506,6 +506,26 @@ let test_planner_rejects_unknown () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown mitigation accepted"
 
+(* Each numeric field just outside its domain; the pipelines would raise
+   on every one of them. *)
+let out_of_range_specs =
+  let fuzz f = Request.Fuzz { core = "boom"; options = f Fuzz.Engine.default } in
+  [
+    ("faults < 0", Request.Inject { core = "boom"; faults = -1; seed = 1L; full = false });
+    ("budget < 0", fuzz (fun o -> { o with Fuzz.Engine.budget = -1 }));
+    ("batch = 0", fuzz (fun o -> { o with Fuzz.Engine.batch = 0 }));
+    ("energy < 0", fuzz (fun o -> { o with Fuzz.Engine.energy = -1 }));
+    ("energy > 100", fuzz (fun o -> { o with Fuzz.Engine.energy = 150 }));
+  ]
+
+let test_planner_rejects_out_of_range () =
+  List.iter
+    (fun (what, spec) ->
+      match Planner.plan spec with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    out_of_range_specs
+
 (* {1 Local differential: plan + execute + assemble = one-shot} *)
 
 let assemble_locally spec =
@@ -803,6 +823,26 @@ let test_daemon_poisons_doomed_shards () =
               Alcotest.(check bool) "failure names poisoning" true
                 (contains reason "poisoned"))))
 
+(* A bad spec is refused at submit: nothing is queued, so no worker
+   executes it and none dies. *)
+let test_daemon_rejects_out_of_range () =
+  with_temp_dir "serve_range" (fun dir ->
+      let cfg = { (daemon_config dir) with Daemon.workers = 1 } in
+      with_daemon cfg (fun client ->
+          List.iter
+            (fun (what, spec) ->
+              match Client.submit client spec with
+              | Error _ -> ()
+              | Ok _ -> Alcotest.failf "daemon accepted %s" what)
+            out_of_range_specs;
+          match Client.status client with
+          | Error e -> Alcotest.fail e
+          | Ok st ->
+            Alcotest.(check int) "no worker restarts" 0
+              st.Protocol.st_worker_restarts;
+            Alcotest.(check int) "no job queued" 0
+              (List.length st.Protocol.st_jobs)))
+
 (* {1 Merged traces} *)
 
 (* A hand-rolled Chrome-trace reader on top of the lib/obs JSON parser:
@@ -1041,6 +1081,8 @@ let () =
             test_planner_digest_excludes_position;
           quick "unknown cores and mitigations rejected"
             test_planner_rejects_unknown;
+          quick "out-of-range parameters rejected"
+            test_planner_rejects_out_of_range;
         ] );
       ( "differential",
         [
@@ -1058,6 +1100,8 @@ let () =
             test_daemon_wave_artifact;
           quick "worker crash recovery" test_daemon_worker_crash_recovery;
           quick "doomed shards poison the job" test_daemon_poisons_doomed_shards;
+          quick "out-of-range spec refused at submit"
+            test_daemon_rejects_out_of_range;
           quick "protocol mismatch rejected at handshake"
             test_daemon_rejects_protocol_mismatch;
         ] );
