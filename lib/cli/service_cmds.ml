@@ -38,7 +38,8 @@ let version_cmd =
     Term.(const run $ const ())
 
 (* serve: the daemon, in the foreground.  Runs until a client sends
-   shutdown. *)
+   shutdown.  Its one JSONL event stream goes to --log, else to stdout
+   unless --quiet. *)
 let serve_cmd =
   let run socket_path store workers http_port max_shard_cases max_retries
       quiet log_file log_level =
@@ -50,8 +51,9 @@ let serve_cmd =
     in
     let slog =
       match log_file with
-      | None -> Obs.Log.null
       | Some path -> Obs.Log.open_file ~level path
+      | None when quiet -> Obs.Log.null
+      | None -> Obs.Log.to_channel ~level stdout
     in
     let cfg =
       {
@@ -60,9 +62,6 @@ let serve_cmd =
         http_port;
         max_shard_cases;
         max_retries;
-        log =
-          (if quiet then ignore
-           else fun line -> Format.printf "teesec serve: %s@." line);
         slog;
       }
     in
@@ -94,8 +93,9 @@ let serve_cmd =
   in
   let log_file =
     Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE"
-           ~doc:"Write structured JSONL events (submit, dispatch, crash, \
-                 backoff, poison, job_done, ...) to $(docv).")
+           ~doc:"Write the daemon's JSONL events (submit, dispatch, \
+                 worker_died, backoff, poison, job_done, ...) to $(docv) \
+                 instead of stdout.")
   in
   let log_level =
     Arg.(value & opt string "info" & info [ "log-level" ] ~docv:"LEVEL"

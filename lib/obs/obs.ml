@@ -34,9 +34,9 @@ let enabled = function Noop -> false | Active _ -> true
 let metrics = function Noop -> None | Active a -> Some a.metrics
 let tracer = function Noop -> None | Active a -> Some a.tracer
 
-(** The sink's clock, in nanoseconds; [0L] on {!noop}.  The daemon reads
-    it to timestamp queue-wait/execute intervals and to align worker
-    span buffers onto its own timeline. *)
+(** The sink's clock, in nanoseconds; [0L] on {!noop}.  A service
+    worker stamps each shard's start with it, so the daemon can align
+    the worker's span buffer onto its own timeline. *)
 let now_ns = function Noop -> 0L | Active a -> a.clock ()
 
 (* {2 Spans} *)
@@ -102,13 +102,6 @@ let save_trace t ~path =
   match t with
   | Noop -> ()
   | Active a -> write_file ~path (Tracer.to_chrome_json a.tracer)
-
-(** The metrics registry rendered as Prometheus exposition text, or
-    [None] on {!noop}.  What the serve daemon's HTTP scrape endpoint
-    returns. *)
-let prometheus_text = function
-  | Noop -> None
-  | Active a -> Some (Metrics.to_prometheus a.metrics)
 
 (** Write the metrics registry in Prometheus text format.  No-op on
     {!noop}. *)

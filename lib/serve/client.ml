@@ -1,4 +1,4 @@
-type t = { fd : Unix.file_descr; build : string }
+type t = { fd : Unix.file_descr }
 
 let rpc_exn fd msg =
   Protocol.write_frame fd (Protocol.encode_client_msg msg);
@@ -33,7 +33,7 @@ let connect ~socket_path =
                 }))
       with exn -> Error (Printexc.to_string exn)
     with
-    | Ok (Protocol.Hello_ok { build; _ }) -> Ok { fd; build }
+    | Ok (Protocol.Hello_ok _) -> Ok { fd }
     | Ok (Protocol.Hello_err reason) ->
       (try Unix.close fd with _ -> ());
       Error reason
@@ -65,8 +65,6 @@ let connect_retry ?(attempts = 100) ?(delay = 0.05) ~socket_path () =
   in
   go attempts "no attempt made"
 
-let server_build t = t.build
-
 let submit ?(trace = false) ?(wave = false) t spec =
   match rpc t (Protocol.Submit { spec; trace; wave }) with
   | Ok (Protocol.Submitted js) -> Ok js
@@ -91,13 +89,6 @@ let results ?(wait = true) t job =
   | Ok (Protocol.Failed { reason; _ }) -> Error reason
   | Ok (Protocol.Error_msg e) -> Error e
   | Ok _ -> Error "unexpected reply to results"
-  | Error e -> Error e
-
-let ping t =
-  match rpc t Protocol.Ping with
-  | Ok (Protocol.Pong { build }) -> Ok build
-  | Ok (Protocol.Error_msg e) -> Error e
-  | Ok _ -> Error "unexpected reply to ping"
   | Error e -> Error e
 
 let shutdown t =

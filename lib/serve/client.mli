@@ -17,9 +17,6 @@ val connect_retry :
   ?attempts:int -> ?delay:float -> socket_path:string -> unit ->
   (t, string) result
 
-(** Daemon build string, as reported by the handshake. *)
-val server_build : t -> string
-
 (** [submit t spec] plans, stores and queues the request; returns its
     job status (which may already be complete on a warm store).  With
     [~trace:true] the daemon collects a merged cross-process Chrome
@@ -51,8 +48,6 @@ val results :
   t ->
   string ->
   ((artifact, Protocol.job_status) result, string) result
-
-val ping : t -> (string, string) result
 
 (** Ask the daemon to exit; the reply confirms it began shutting down. *)
 val shutdown : t -> (unit, string) result

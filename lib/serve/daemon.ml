@@ -5,10 +5,7 @@ type config = {
   http_port : int option;
   max_shard_cases : int;
   max_retries : int;
-  backoff_base : float;
-  backoff_cap : float;
   test_crash_assignments : int;
-  log : string -> unit;
   slog : Obs.Log.t;
 }
 
@@ -20,12 +17,14 @@ let default_config ~socket_path ~store_root =
     http_port = None;
     max_shard_cases = Planner.default_max_shard_cases;
     max_retries = 3;
-    backoff_base = 0.05;
-    backoff_cap = 1.0;
     test_crash_assignments = 0;
-    log = ignore;
     slog = Obs.Log.null;
   }
+
+(* Retry delay after a worker death: 50 ms doubling per failed attempt,
+   capped at one second. *)
+let backoff_base = 0.05
+let backoff_cap = 1.0
 
 (* {2 Daemon state} *)
 
@@ -82,14 +81,6 @@ type worker = {
 
 type client = { c_fd : Unix.file_descr; mutable c_hello : bool }
 
-type counters = {
-  mutable n_restarts : int;
-  mutable n_executed : int;
-  mutable n_hits : int;
-  mutable n_misses : int;
-  mutable n_poisoned : int;
-}
-
 type instruments = {
   i_submits : Obs.Metrics.counter;
   i_hits : Obs.Metrics.counter;
@@ -103,60 +94,38 @@ type instruments = {
   i_jobs : Obs.Metrics.gauge;
 }
 
-let null_counter =
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.counter m "teesec_null"
-
-let null_gauge =
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.gauge m "teesec_null"
-
-let make_instruments obs =
-  match Obs.metrics obs with
-  | None ->
-    {
-      i_submits = null_counter;
-      i_hits = null_counter;
-      i_misses = null_counter;
-      i_executed = null_counter;
-      i_restarts = null_counter;
-      i_poisoned = null_counter;
-      i_artifacts = null_counter;
-      i_http = null_counter;
-      i_workers = null_gauge;
-      i_jobs = null_gauge;
-    }
-  | Some m ->
-    let c name help = Obs.Metrics.counter m ~help name in
-    {
-      i_submits = c "teesec_serve_submits_total" "Requests submitted.";
-      i_hits =
-        c "teesec_serve_store_hits_total"
-          "Shards satisfied from the persistent store.";
-      i_misses =
-        c "teesec_serve_store_misses_total" "Shards queued for execution.";
-      i_executed =
-        c "teesec_serve_shards_executed_total" "Shards executed by workers.";
-      i_restarts =
-        c "teesec_serve_worker_restarts_total" "Worker processes respawned.";
-      i_poisoned =
-        c "teesec_serve_shards_poisoned_total"
-          "Shards abandoned after exhausting retries.";
-      i_artifacts =
-        c "teesec_serve_artifacts_total" "Artifacts assembled and cached.";
-      i_http = c "teesec_serve_http_requests_total" "Metrics-endpoint hits.";
-      i_workers =
-        Obs.Metrics.gauge m ~help:"Live worker processes."
-          "teesec_serve_workers";
-      i_jobs =
-        Obs.Metrics.gauge m ~help:"Jobs known to the daemon."
-          "teesec_serve_jobs";
-    }
+let make_instruments m =
+  let c name help = Obs.Metrics.counter m ~help name in
+  {
+    i_submits = c "teesec_serve_submits_total" "Requests submitted.";
+    i_hits =
+      c "teesec_serve_store_hits_total"
+        "Shards satisfied from the persistent store.";
+    i_misses =
+      c "teesec_serve_store_misses_total" "Shards queued for execution.";
+    i_executed =
+      c "teesec_serve_shards_executed_total" "Shards executed by workers.";
+    i_restarts =
+      c "teesec_serve_worker_restarts_total" "Worker processes respawned.";
+    i_poisoned =
+      c "teesec_serve_shards_poisoned_total"
+        "Shards abandoned after exhausting retries.";
+    i_artifacts =
+      c "teesec_serve_artifacts_total" "Artifacts assembled and cached.";
+    i_http = c "teesec_serve_http_requests_total" "Metrics-endpoint hits.";
+    i_workers =
+      Obs.Metrics.gauge m ~help:"Live worker processes."
+        "teesec_serve_workers";
+    i_jobs =
+      Obs.Metrics.gauge m ~help:"Jobs known to the daemon."
+        "teesec_serve_jobs";
+  }
 
 type t = {
   cfg : config;
   store : Store.t;
-  obs : Obs.t;
+  metrics : Obs.Metrics.t;
+  clock : Obs.Clock.t;
   ins : instruments;
   listen_fd : Unix.file_descr;
   http_fd : Unix.file_descr option;
@@ -166,14 +135,11 @@ type t = {
   mutable job_order : string list;  (* reverse submission order *)
   queue : (job * int) Queue.t;  (* ready shards, dispatch order *)
   mutable backoffs : (job * int) list;
-  counters : counters;
   mutable crash_budget : int;
   mutable running : bool;
 }
 
-let logf t fmt = Printf.ksprintf t.cfg.log fmt
-let slog t = t.cfg.slog
-let now_ns t = Obs.now_ns t.obs
+let now_ns t = t.clock ()
 let ns_to_s ns = Int64.to_float ns /. 1e9
 
 (* On-demand labelled histograms.  Registration is idempotent, so
@@ -181,9 +147,7 @@ let ns_to_s ns = Int64.to_float ns /. 1e9
    label sets open — one series per request family and per worker slot
    appears as the corresponding traffic does. *)
 let observe_hist t name ~help ~labels v =
-  match Obs.metrics t.obs with
-  | None -> ()
-  | Some m -> Obs.Metrics.observe (Obs.Metrics.histogram m ~labels ~help name) v
+  Obs.Metrics.observe (Obs.Metrics.histogram t.metrics ~labels ~help name) v
 
 let observe_queue_wait t ~family v =
   observe_hist t "teesec_serve_queue_wait_seconds"
@@ -199,8 +163,7 @@ let observe_backoff t v =
   observe_hist t "teesec_serve_retry_backoff_seconds"
     ~help:"Backoff delays scheduled after worker deaths." ~labels:[] v
 
-(* Store accesses timed on the daemon clock; noop sinks never read the
-   clock (it returns 0, the subtraction is 0) and drop the observation. *)
+(* Store accesses timed on the daemon clock. *)
 let timed_store t name ~help f =
   let t0 = now_ns t in
   let r = f () in
@@ -217,15 +180,28 @@ let store_put t section ~digest payload =
     ~help:"Store verdict writes." (fun () ->
       Store.put t.store section ~digest payload)
 
-(* Daemon-side trace events are instants only, built directly as event
-   records on the daemon clock: B/E balance of the merged trace rests
-   solely on worker spans, which nest properly by construction. *)
-let job_event t job name args =
-  if job.j_trace then
+(* The one event path: every daemon state change is a single call that
+   writes the JSONL line and, when it concerns a traced job, a trace
+   instant of the same name and fields on the daemon clock ([Tracer.arg]
+   is [Log.value]).  A job-scoped event leads with the job id.
+   Daemon-side trace events are instants only: B/E balance of the
+   merged trace rests solely on worker spans, which nest properly by
+   construction. *)
+let note t ?job level ~event fields =
+  let fields =
+    match job with
+    | Some job -> ("job", Obs.Log.String job.j_id) :: fields
+    | None -> fields
+  in
+  Obs.Log.event t.cfg.slog level ~event fields;
+  match job with
+  | Some job when job.j_trace ->
     job.j_events <-
-      ({ ph = Obs.Tracer.Instant; name; ts = now_ns t; tid = 0; args }
+      ({ ph = Obs.Tracer.Instant; name = event; ts = now_ns t; tid = 0;
+         args = fields }
         : Obs.Tracer.event)
       :: job.j_events
+  | _ -> ()
 
 (* The merged Chrome trace: one process group for the daemon's lifecycle
    instants, one per worker pid that executed a traced shard.  Worker
@@ -264,7 +240,7 @@ let spawn_worker t slot =
     Worker.loop child_fd
   | pid ->
     Unix.close child_fd;
-    Obs.Log.info t.cfg.slog ~event:"worker_spawn"
+    note t Obs.Log.Info ~event:"worker_spawn"
       [ ("slot", Obs.Log.Int slot); ("worker_pid", Obs.Log.Int pid) ];
     { w_slot = slot; w_pid = pid; w_fd = parent_fd; w_task = None; w_idle = false }
 
@@ -298,6 +274,10 @@ let send_to_client fd msg =
     true
   with _ -> false
 
+let artifact_msg job data =
+  Protocol.Artifact
+    { job = job.j_id; data; trace = job.j_trace_json; wave = job.j_wave_blob }
+
 let notify_waiters job msg =
   List.iter (fun fd -> ignore (send_to_client fd msg)) job.j_waiters;
   job.j_waiters <- []
@@ -305,9 +285,8 @@ let notify_waiters job msg =
 let fail_job t job reason =
   if job.j_failed = None then begin
     job.j_failed <- Some reason;
-    logf t "job %s failed: %s" job.j_id reason;
-    Obs.Log.error (slog t) ~event:"job_failed"
-      [ ("job", Obs.Log.String job.j_id); ("reason", Obs.Log.String reason) ];
+    note t ~job Obs.Log.Error ~event:"job_failed"
+      [ ("reason", Obs.Log.String reason) ];
     notify_waiters job (Protocol.Failed { job = job.j_id; reason })
   end
 
@@ -328,8 +307,8 @@ let maybe_complete t job =
     | Ok data ->
       job.j_artifact <- Some data;
       Obs.Metrics.inc t.ins.i_artifacts;
-      job_event t job "job_done"
-        [ ("bytes", Obs.Tracer.Int (String.length data)) ];
+      note t ~job Obs.Log.Info ~event:"job_done"
+        [ ("bytes", Obs.Log.Int (String.length data)) ];
       if job.j_trace then job.j_trace_json <- Some (build_trace job);
       if job.j_wave then
         (* Shard order = plan order = corpus order, so the joined blob
@@ -338,20 +317,7 @@ let maybe_complete t job =
           Some
             (String.concat ""
                (Array.to_list (Array.map (fun s -> s.wave_blob) job.j_shards)));
-      logf t "job %s complete (%d bytes)" job.j_id (String.length data);
-      Obs.Log.info (slog t) ~event:"job_done"
-        [
-          ("job", Obs.Log.String job.j_id);
-          ("bytes", Obs.Log.Int (String.length data));
-        ];
-      notify_waiters job
-        (Protocol.Artifact
-           {
-             job = job.j_id;
-             data;
-             trace = job.j_trace_json;
-             wave = job.j_wave_blob;
-           })
+      notify_waiters job (artifact_msg job data)
     | Error e -> fail_job t job (Printf.sprintf "artifact assembly: %s" e)
   end
 
@@ -402,15 +368,12 @@ let rec next_ready_shard t =
       else
         match store_get t Store.Verdicts ~digest:sr.shard.Planner.digest with
         | Some payload ->
-          t.counters.n_hits <- t.counters.n_hits + 1;
           Obs.Metrics.inc t.ins.i_hits;
-          Obs.Log.info (slog t) ~event:"late_store_hit"
+          note t ~job Obs.Log.Info ~event:"late_store_hit"
             [
-              ("job", Obs.Log.String job.j_id);
               ("shard", Obs.Log.Int idx);
               ("digest", Obs.Log.String sr.shard.Planner.digest);
             ];
-          job_event t job "late_store_hit" [ ("shard", Obs.Tracer.Int idx) ];
           complete_shard t job sr payload;
           next_ready_shard t
         | None -> Some (job, idx))
@@ -428,17 +391,14 @@ let assign_shard t w job idx =
     (ns_to_s (Int64.sub sr.assigned_ns sr.enqueued_ns));
   w.w_task <- Some (job, idx);
   w.w_idle <- false;
-  Obs.Log.info (slog t) ~event:"dispatch"
+  note t ~job Obs.Log.Info ~event:"dispatch"
     [
-      ("job", Obs.Log.String job.j_id);
       ("shard", Obs.Log.Int idx);
       ("digest", Obs.Log.String sr.shard.Planner.digest);
       ("worker", Obs.Log.Int w.w_slot);
       ("worker_pid", Obs.Log.Int w.w_pid);
       ("attempt", Obs.Log.Int sr.attempts);
     ];
-  job_event t job "dispatch"
-    [ ("shard", Obs.Tracer.Int idx); ("worker", Obs.Tracer.Int w.w_slot) ];
   try
     Protocol.write_frame w.w_fd
       (Protocol.encode_worker_msg
@@ -471,55 +431,43 @@ let dispatch t =
 let on_worker_death t w =
   (try Unix.close w.w_fd with _ -> ());
   (try ignore (Unix.waitpid [] w.w_pid) with _ -> ());
-  t.counters.n_restarts <- t.counters.n_restarts + 1;
   Obs.Metrics.inc t.ins.i_restarts;
-  Obs.Log.warn (slog t) ~event:"worker_died"
-    [ ("slot", Obs.Log.Int w.w_slot); ("worker_pid", Obs.Log.Int w.w_pid) ];
-  (match w.w_task with
+  let task = w.w_task in
+  w.w_task <- None;
+  note t ?job:(Option.map fst task) Obs.Log.Warn ~event:"worker_died"
+    (("slot", Obs.Log.Int w.w_slot)
+    :: ("worker_pid", Obs.Log.Int w.w_pid)
+    :: (match task with None -> [] | Some (_, idx) -> [ ("shard", Obs.Log.Int idx) ]));
+  (match task with
   | None -> ()
   | Some (job, idx) ->
     let sr = job.j_shards.(idx) in
-    w.w_task <- None;
-    job_event t job "worker_died"
-      [ ("shard", Obs.Tracer.Int idx); ("pid", Obs.Tracer.Int w.w_pid) ];
     if sr.attempts > t.cfg.max_retries then begin
       sr.state <- S_poisoned;
-      t.counters.n_poisoned <- t.counters.n_poisoned + 1;
       Obs.Metrics.inc t.ins.i_poisoned;
-      Obs.Log.error (slog t) ~event:"poison"
+      note t ~job Obs.Log.Error ~event:"poison"
         [
-          ("job", Obs.Log.String job.j_id);
           ("shard", Obs.Log.Int idx);
           ("digest", Obs.Log.String sr.shard.Planner.digest);
           ("attempts", Obs.Log.Int sr.attempts);
         ];
-      job_event t job "poison" [ ("shard", Obs.Tracer.Int idx) ];
       fail_job t job
         (Printf.sprintf "shard %d (%s) poisoned after %d attempts" idx
            sr.shard.Planner.digest sr.attempts)
     end
     else begin
       let delay =
-        min t.cfg.backoff_cap
-          (t.cfg.backoff_base *. (2. ** float_of_int (sr.attempts - 1)))
+        min backoff_cap (backoff_base *. (2. ** float_of_int (sr.attempts - 1)))
       in
       sr.state <- S_backoff (now () +. delay);
       t.backoffs <- (job, idx) :: t.backoffs;
       observe_backoff t delay;
-      Obs.Log.warn (slog t) ~event:"backoff"
+      note t ~job Obs.Log.Warn ~event:"backoff"
         [
-          ("job", Obs.Log.String job.j_id);
           ("shard", Obs.Log.Int idx);
           ("delay_s", Obs.Log.Float delay);
           ("attempt", Obs.Log.Int sr.attempts);
-        ];
-      job_event t job "backoff"
-        [
-          ("shard", Obs.Tracer.Int idx);
-          ("delay_s", Obs.Tracer.Float delay);
-        ];
-      logf t "worker %d died; shard %d of job %s retried in %.2fs (attempt %d)"
-        w.w_pid idx job.j_id delay sr.attempts
+        ]
     end);
   let fresh = spawn_worker t w.w_slot in
   w.w_pid <- fresh.w_pid;
@@ -539,7 +487,6 @@ let on_worker_readable t w =
         when job.j_shards.(idx).shard.Planner.digest = digest ->
         let sr = job.j_shards.(idx) in
         w.w_task <- None;
-        t.counters.n_executed <- t.counters.n_executed + 1;
         Obs.Metrics.inc t.ins.i_executed;
         observe_execute t
           ~family:(Request.kind job.j_spec)
@@ -553,12 +500,9 @@ let on_worker_readable t w =
              maps the worker's shard-start reading onto the daemon's
              assignment reading (message latency folds into the first
              span, which is the honest place for it). *)
-          (match Obs.metrics t.obs with
-          | None -> ()
-          | Some m ->
-            Obs.Metrics.absorb
-              ~extra_labels:[ ("worker", string_of_int w.w_slot) ]
-              m so.Protocol.so_metrics);
+          Obs.Metrics.absorb
+            ~extra_labels:[ ("worker", string_of_int w.w_slot) ]
+            t.metrics so.Protocol.so_metrics;
           if job.j_trace then begin
             let offset = Int64.sub sr.assigned_ns so.Protocol.so_t0 in
             let shifted =
@@ -574,9 +518,8 @@ let on_worker_readable t w =
             in
             cell := !cell @ shifted
           end);
-        Obs.Log.info (slog t) ~event:"shard_done"
+        note t ~job Obs.Log.Info ~event:"shard_done"
           [
-            ("job", Obs.Log.String job.j_id);
             ("shard", Obs.Log.Int idx);
             ("digest", Obs.Log.String digest);
             ("worker", Obs.Log.Int w.w_slot);
@@ -598,7 +541,7 @@ let handle_submit t ~trace ~wave spec =
   Obs.Metrics.inc t.ins.i_submits;
   match Planner.plan ~max_shard_cases:t.cfg.max_shard_cases spec with
   | Error e ->
-    Obs.Log.warn (slog t) ~event:"submit_rejected"
+    note t Obs.Log.Warn ~event:"submit_rejected"
       [ ("reason", Obs.Log.String e) ];
     Protocol.Error_msg e
   | Ok shards -> (
@@ -624,12 +567,10 @@ let handle_submit t ~trace ~wave spec =
             (match store_get t Store.Verdicts ~digest:shard.Planner.digest with
             | Some payload ->
               incr hits;
-              t.counters.n_hits <- t.counters.n_hits + 1;
               Obs.Metrics.inc t.ins.i_hits;
               sr.state <- S_done;
               sr.payload <- Some payload
             | None ->
-              t.counters.n_misses <- t.counters.n_misses + 1;
               Obs.Metrics.inc t.ins.i_misses;
               if
                 shard.Planner.corpus_digest <> ""
@@ -671,23 +612,14 @@ let handle_submit t ~trace ~wave spec =
             Queue.add (job, idx) t.queue
           end)
         job.j_shards;
-      job_event t job "submit"
+      note t ~job Obs.Log.Info ~event:"submit"
         [
-          ("kind", Obs.Tracer.String (Request.kind spec));
-          ("shards", Obs.Tracer.Int (Array.length job.j_shards));
-          ("hits", Obs.Tracer.Int !hits);
-        ];
-      Obs.Log.info (slog t) ~event:"submit"
-        [
-          ("job", Obs.Log.String job_id);
           ("kind", Obs.Log.String (Request.kind spec));
           ("shards", Obs.Log.Int (Array.length job.j_shards));
           ("hits", Obs.Log.Int !hits);
           ("trace", Obs.Log.Bool trace);
           ("wave", Obs.Log.Bool wave);
         ];
-      logf t "job %s: %d shard(s), %d from store" job_id
-        (Array.length job.j_shards) !hits;
       maybe_complete t job;
       Protocol.Submitted (job_status job))
 
@@ -700,10 +632,10 @@ let build_status t =
   {
     Protocol.st_version = Protocol.version_string;
     st_workers = Array.length t.pool;
-    st_worker_restarts = t.counters.n_restarts;
-    st_shards_executed = t.counters.n_executed;
-    st_store_hits = t.counters.n_hits;
-    st_store_misses = t.counters.n_misses;
+    st_worker_restarts = Obs.Metrics.counter_value t.ins.i_restarts;
+    st_shards_executed = Obs.Metrics.counter_value t.ins.i_executed;
+    st_store_hits = Obs.Metrics.counter_value t.ins.i_hits;
+    st_store_misses = Obs.Metrics.counter_value t.ins.i_misses;
     st_jobs = jobs;
   }
 
@@ -717,94 +649,50 @@ let drop_client t c =
 
 let on_client_readable t c =
   let drop () = drop_client t c in
+  (* [reply] keeps the connection unless the write fails; [refuse] sends
+     a last word and closes it. *)
+  let reply msg = if not (send_to_client c.c_fd msg) then drop () in
+  let refuse msg =
+    ignore (send_to_client c.c_fd msg);
+    drop ()
+  in
   match (try Protocol.read_frame c.c_fd with _ -> None) with
   | None -> drop ()
   | Some frame -> (
     match (try Some (Protocol.decode_client_msg frame) with _ -> None) with
-    | None ->
-      ignore (send_to_client c.c_fd (Protocol.Error_msg "undecodable message"));
-      drop ()
-    | Some msg -> (
-      match msg with
-      | Protocol.Hello { proto; build } ->
-        if proto = Protocol.protocol_version then begin
-          c.c_hello <- true;
-          if
-            not
-              (send_to_client c.c_fd
-                 (Protocol.Hello_ok
-                    {
-                      proto = Protocol.protocol_version;
-                      build = Protocol.build_version;
-                    }))
-          then drop ()
-        end
-        else begin
-          ignore
-            (send_to_client c.c_fd
-               (Protocol.Hello_err
-                  (Printf.sprintf
-                     "protocol mismatch: server speaks %d (build %s), client \
-                      speaks %d (build %s)"
-                     Protocol.protocol_version Protocol.build_version proto
-                     build)));
-          drop ()
-        end
-      | _ when not c.c_hello ->
-        ignore
-          (send_to_client c.c_fd (Protocol.Hello_err "handshake required"));
-        drop ()
-      | Protocol.Submit { spec; trace; wave } ->
-        let reply = handle_submit t ~trace ~wave spec in
-        if not (send_to_client c.c_fd reply) then drop ()
-      | Protocol.Status ->
-        if not (send_to_client c.c_fd (Protocol.Status_report (build_status t)))
-        then drop ()
-      | Protocol.Results { job = job_id; wait } -> (
-        match Hashtbl.find_opt t.jobs job_id with
-        | None ->
-          if
-            not
-              (send_to_client c.c_fd
-                 (Protocol.Error_msg
-                    (Printf.sprintf "unknown job %s" job_id)))
-          then drop ()
-        | Some job -> (
-          match (job.j_artifact, job.j_failed) with
-          | Some data, _ ->
-            if
-              not
-                (send_to_client c.c_fd
-                   (Protocol.Artifact
-                      {
-                        job = job_id;
-                        data;
-                        trace = job.j_trace_json;
-                        wave = job.j_wave_blob;
-                      }))
-            then drop ()
-          | None, Some reason ->
-            if
-              not
-                (send_to_client c.c_fd
-                   (Protocol.Failed { job = job_id; reason }))
-            then drop ()
-          | None, None ->
-            if wait then job.j_waiters <- c.c_fd :: job.j_waiters
-            else if
-              not
-                (send_to_client c.c_fd (Protocol.Pending (job_status job)))
-            then drop ()))
-      | Protocol.Ping ->
-        if
-          not
-            (send_to_client c.c_fd
-               (Protocol.Pong { build = Protocol.build_version }))
-        then drop ()
-      | Protocol.Shutdown ->
-        Obs.Log.info (slog t) ~event:"shutdown" [];
-        ignore (send_to_client c.c_fd Protocol.Shutting_down);
-        t.running <- false))
+    | None -> refuse (Protocol.Error_msg "undecodable message")
+    | Some (Protocol.Hello { proto; build }) ->
+      if proto = Protocol.protocol_version then begin
+        c.c_hello <- true;
+        reply
+          (Protocol.Hello_ok
+             { proto = Protocol.protocol_version; build = Protocol.build_version })
+      end
+      else
+        refuse
+          (Protocol.Hello_err
+             (Printf.sprintf
+                "protocol mismatch: server speaks %d (build %s), client speaks \
+                 %d (build %s)"
+                Protocol.protocol_version Protocol.build_version proto build))
+    | Some _ when not c.c_hello -> refuse (Protocol.Hello_err "handshake required")
+    | Some (Protocol.Submit { spec; trace; wave }) ->
+      reply (handle_submit t ~trace ~wave spec)
+    | Some Protocol.Status -> reply (Protocol.Status_report (build_status t))
+    | Some (Protocol.Results { job = job_id; wait }) -> (
+      match Hashtbl.find_opt t.jobs job_id with
+      | None -> reply (Protocol.Error_msg (Printf.sprintf "unknown job %s" job_id))
+      | Some job -> (
+        match (job.j_artifact, job.j_failed) with
+        | Some data, _ -> reply (artifact_msg job data)
+        | None, Some reason -> reply (Protocol.Failed { job = job_id; reason })
+        | None, None ->
+          if wait then job.j_waiters <- c.c_fd :: job.j_waiters
+          else reply (Protocol.Pending (job_status job))))
+    | Some Protocol.Shutdown ->
+      note t Obs.Log.Info ~event:"shutdown" [];
+      ignore (send_to_client c.c_fd Protocol.Shutting_down);
+      t.running <- false)
 
 (* {2 HTTP metrics endpoint} *)
 
@@ -867,7 +755,7 @@ let on_http_readable t listen =
         | meth :: path :: _ -> (meth, path)
         | _ -> ("", "")
       in
-      Obs.Log.debug (slog t) ~event:"http_request"
+      note t Obs.Log.Debug ~event:"http_request"
         [ ("method", Obs.Log.String meth); ("path", Obs.Log.String path) ];
       if meth <> "GET" then
         http_respond fd ~status:"405 Method Not Allowed"
@@ -875,13 +763,9 @@ let on_http_readable t listen =
       else
         match path with
         | "/metrics" ->
-          let body =
-            match Obs.prometheus_text t.obs with
-            | Some text -> text
-            | None -> "# metrics disabled\n"
-          in
           http_respond fd ~status:"200 OK"
-            ~content_type:"text/plain; version=0.0.4; charset=utf-8" body
+            ~content_type:"text/plain; version=0.0.4; charset=utf-8"
+            (Obs.Metrics.to_prometheus t.metrics)
         | "/healthz" ->
           http_respond fd ~status:"200 OK" ~content_type:"text/plain" "ok\n"
         | _ ->
@@ -907,7 +791,6 @@ let select_timeout t =
     max 0.01 soonest
 
 let shutdown t =
-  logf t "shutting down";
   Array.iter
     (fun w ->
       if w.w_pid <> 0 then begin
@@ -926,11 +809,11 @@ let shutdown t =
   Option.iter (fun fd -> try Unix.close fd with _ -> ()) t.http_fd;
   (try Unix.unlink t.cfg.socket_path with _ -> ())
 
-let run ?obs cfg =
+let run cfg =
   if cfg.workers < 1 then invalid_arg "Daemon.run: workers must be >= 1";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let obs = match obs with Some o -> o | None -> Obs.create () in
-  let ins = make_instruments obs in
+  let metrics = Obs.Metrics.create () in
+  let ins = make_instruments metrics in
   (if Sys.file_exists cfg.socket_path then
      try Unix.unlink cfg.socket_path with _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -950,7 +833,8 @@ let run ?obs cfg =
     {
       cfg;
       store = Store.open_ ~root:cfg.store_root;
-      obs;
+      metrics;
+      clock = Obs.Clock.monotonic ();
       ins;
       listen_fd;
       http_fd;
@@ -960,14 +844,6 @@ let run ?obs cfg =
       job_order = [];
       queue = Queue.create ();
       backoffs = [];
-      counters =
-        {
-          n_restarts = 0;
-          n_executed = 0;
-          n_hits = 0;
-          n_misses = 0;
-          n_poisoned = 0;
-        };
       crash_budget = cfg.test_crash_assignments;
       running = true;
     }
@@ -976,8 +852,12 @@ let run ?obs cfg =
   (* Restarts are counted from zero: the initial spawns are not
      restarts, so the counter starts clean for the crash tests. *)
   Obs.Metrics.set ins.i_workers (float_of_int cfg.workers);
-  logf t "listening on %s (%d worker(s), store %s)" cfg.socket_path
-    cfg.workers cfg.store_root;
+  note t Obs.Log.Info ~event:"listening"
+    [
+      ("socket", Obs.Log.String cfg.socket_path);
+      ("workers", Obs.Log.Int cfg.workers);
+      ("store", Obs.Log.String cfg.store_root);
+    ];
   while t.running do
     dispatch t;
     let read_fds =

@@ -58,7 +58,6 @@ type client_msg =
   | Submit of { spec : Request.spec; trace : bool; wave : bool }
   | Status
   | Results of { job : string; wait : bool }
-  | Ping
   | Shutdown
 
 type job_status = {
@@ -98,7 +97,6 @@ type server_msg =
     }
   | Pending of job_status
   | Failed of { job : string; reason : string }
-  | Pong of { build : string }
   | Shutting_down
   | Error_msg of string
 
@@ -292,8 +290,7 @@ let enc_client b = function
     Codec.u8 b 3;
     Codec.str b job;
     Codec.bool b wait
-  | Ping -> Codec.u8 b 4
-  | Shutdown -> Codec.u8 b 5
+  | Shutdown -> Codec.u8 b 4
 
 let dec_client d =
   match Codec.u8' d with
@@ -311,8 +308,7 @@ let dec_client d =
     let job = Codec.str' d in
     let wait = Codec.bool' d in
     Results { job; wait }
-  | 4 -> Ping
-  | 5 -> Shutdown
+  | 4 -> Shutdown
   | t -> bad_tag "client message" t
 
 let enc_job_status b js =
@@ -381,12 +377,9 @@ let enc_server b = function
     Codec.u8 b 6;
     Codec.str b job;
     Codec.str b reason
-  | Pong { build } ->
-    Codec.u8 b 7;
-    Codec.str b build
-  | Shutting_down -> Codec.u8 b 8
+  | Shutting_down -> Codec.u8 b 7
   | Error_msg msg ->
-    Codec.u8 b 9;
+    Codec.u8 b 8;
     Codec.str b msg
 
 let dec_server d =
@@ -426,9 +419,8 @@ let dec_server d =
     let job = Codec.str' d in
     let reason = Codec.str' d in
     Failed { job; reason }
-  | 7 -> Pong { build = Codec.str' d }
-  | 8 -> Shutting_down
-  | 9 -> Error_msg (Codec.str' d)
+  | 7 -> Shutting_down
+  | 8 -> Error_msg (Codec.str' d)
   | t -> bad_tag "server message" t
 
 let enc_worker b = function

@@ -40,7 +40,6 @@ type client_msg =
           neither perturbs the job's store digests. *)
   | Status
   | Results of { job : string; wait : bool }
-  | Ping
   | Shutdown
 
 type job_status = {
@@ -84,7 +83,6 @@ type server_msg =
           contribute no streams (the store never holds waves). *)
   | Pending of job_status
   | Failed of { job : string; reason : string }
-  | Pong of { build : string }
   | Shutting_down
   | Error_msg of string
 

@@ -11,7 +11,7 @@
    every previously stored verdict silently becomes a miss instead of a
    stale hit. *)
 
-let protocol = 3
+let protocol = 4
 let build = "1.3.0"
 let code_version = build
 let version_string = Printf.sprintf "teesec %s (protocol %d)" build protocol

@@ -84,6 +84,8 @@ let config_of = function
    failure); checking them here refuses a bad spec before it reaches a
    one-shot run or a daemon worker. *)
 let check_ranges = function
+  | Campaign { corpus = Random { count; _ }; _ } when count < 1 ->
+    Error (Printf.sprintf "random count must be >= 1, got %d" count)
   | Inject { faults; _ } when faults < 0 ->
     Error (Printf.sprintf "faults must be >= 0, got %d" faults)
   | Fuzz { options = { Engine.budget; _ }; _ } when budget < 0 ->

@@ -16,18 +16,6 @@ type finding = {
   last_pc : Word.t option;
 }
 
-let pp_finding fmt f =
-  Format.fprintf fmt "%s %s in %s at cycle %d (ctx %a%s)%s"
-    (match f.case with Some c -> Case.to_string c | None -> "residue")
-    (detection_to_string f.detection)
-    (Structure.to_string f.structure) f.cycle Exec_context.pp f.ctx
-    (match f.origin with
-    | Some o -> ", via " ^ Log.origin_to_string o
-    | None -> "")
-    (match f.secret with
-    | Some s -> Format.asprintf ": %a" Secret.pp_seeded s
-    | None -> "")
-
 (* Cross-boundary explicit-access classification (D4-D7): decided by the
    owner of the secret and the context that observed it. *)
 let cross_boundary_case (owner : Secret.owner) (ctx : Exec_context.t) =

@@ -40,8 +40,6 @@ type finding = {
   last_pc : Word.t option;  (** PC of the last committed instruction. *)
 }
 
-val pp_finding : Format.formatter -> finding -> unit
-
 (** [check log tracker] returns the deduplicated findings, classified
     cases first.  The data pass runs over value-keyed indexes (one log
     scan, O(1) secret lookup per entry, indexed residue provenance and

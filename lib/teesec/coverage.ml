@@ -97,8 +97,6 @@ let measure ?(jobs = 1) config testcases =
       /. float_of_int (List.length writable_here);
   }
 
-let measure_full ?jobs config = measure ?jobs config (Fuzzer.corpus ())
-
 let pp fmt t =
   Format.fprintf fmt "Coverage on %s over %d test cases:@." t.config.Config.name
     t.testcases;

@@ -34,7 +34,4 @@ val writable_structures : Structure.t list
     identical for every job count. *)
 val measure : ?jobs:int -> Config.t -> Testcase.t list -> t
 
-(** [measure_full ?jobs config] covers the whole deterministic corpus. *)
-val measure_full : ?jobs:int -> Config.t -> t
-
 val pp : Format.formatter -> t -> unit

@@ -30,9 +30,6 @@ type t = {
 }
 
 let name t = t.name
-let is_setup t = t.kind = Setup
-let is_helper t = t.kind = Helper
-let is_access t = match t.kind with Access _ -> true | Setup | Helper -> false
 
 let access_path t =
   match t.kind with Access p -> Some p | Setup | Helper -> None

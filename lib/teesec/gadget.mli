@@ -36,9 +36,6 @@ type t = {
 }
 
 val name : t -> string
-val is_setup : t -> bool
-val is_helper : t -> bool
-val is_access : t -> bool
 val access_path : t -> Access_path.t option
 
 (** [applicable g model] — [pre] holds. *)

@@ -18,10 +18,6 @@ let authorized owner (ctx : Exec_context.t) =
 
 type seeded = { value : Word.t; addr : Word.t; owner : owner; derived : bool }
 
-let pp_seeded fmt s =
-  Format.fprintf fmt "%a @ %a (%s)" Word.pp s.value Word.pp s.addr
-    (owner_to_string s.owner)
-
 let value_for ~seed ~addr =
   let v = Word.splitmix64 (Int64.logxor (Word.splitmix64 seed) addr) in
   if Int64.equal v 0L then 1L else v

@@ -28,8 +28,6 @@ type seeded = {
           positives on short values. *)
 }
 
-val pp_seeded : Format.formatter -> seeded -> unit
-
 (** [value_for ~seed ~addr] is the secret for [addr] under fuzzing seed
     [seed]: a SplitMix64 hash, never zero. *)
 val value_for : seed:Word.t -> addr:Word.t -> Word.t

@@ -52,11 +52,15 @@ type instruments = {
   i_restore : Obs.Metrics.histogram;
 }
 
+(* LRU slots per domain: enough to hold a full grid corpus's distinct
+   seed-dependent cuts, so repeated seeds share full-depth prefixes
+   across families without thrash; a slot is a few KB. *)
+let capacity = 1024
+
 type t = {
   config : Config.t;
   config_hash : int64;
   wave : bool;
-  capacity : int;
   dls : cache Domain.DLS.key;
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -90,13 +94,11 @@ let instruments obs =
             "teesec_snapshot_restore_seconds";
       }
 
-let create ?(slots = 1024) ?(obs = Obs.noop) ?(wave = false) config =
-  if slots < 1 then invalid_arg "Snapshot.create: slots must be >= 1";
+let create ?(obs = Obs.noop) ?(wave = false) config =
   {
     config;
     config_hash = Config.hash config;
     wave;
-    capacity = slots;
     dls =
       Domain.DLS.new_key (fun () -> { slots = []; clock = 0; pool = None });
     hits = Atomic.make 0;
@@ -185,7 +187,7 @@ let store t cache key ~depth env =
     in
     let slots = slot :: cache.slots in
     cache.slots <-
-      (if List.length slots <= t.capacity then slots
+      (if List.length slots <= capacity then slots
        else
          let victim =
            List.fold_left

@@ -39,19 +39,19 @@ type stats = {
   restored_gadgets : int;  (** Prefix gadgets skipped thanks to a hit. *)
 }
 
-(** [create ?slots ?obs config] — an engine for [config] with an LRU
-    cache of [slots] snapshots per domain (default 1024 — enough to hold
-    a full grid corpus's distinct seed-dependent cuts, so repeated
-    seeds share full-depth prefixes across families without LRU
-    thrash; a slot is a few KB).  [obs] (default
+(** [create ?obs config] — an engine for [config] with an LRU cache of
+    1024 snapshots per domain (enough to hold a full grid corpus's
+    distinct seed-dependent cuts, so repeated seeds share full-depth
+    prefixes across families without LRU thrash; a slot is a few KB).
+    [obs] (default
     [Obs.noop]) receives hit/miss/store counters
     ([teesec_snapshot_*_total]) and a restore-duration histogram
     ([teesec_snapshot_restore_seconds]); register it from the
     orchestrating domain before fanning out.  [wave] (default false)
     attaches an active wave tap to the pooled machines; snapshot marks
     then carry the stream prefix so spliced streams stay byte-identical
-    to replayed ones.  Raises [Invalid_argument] when [slots < 1]. *)
-val create : ?slots:int -> ?obs:Obs.t -> ?wave:bool -> Config.t -> t
+    to replayed ones. *)
+val create : ?obs:Obs.t -> ?wave:bool -> Config.t -> t
 
 val config : t -> Config.t
 

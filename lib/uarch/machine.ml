@@ -122,11 +122,8 @@ let cycle t = t.cycle
    occupancy) costs anything to compute, so the taps-off hot path pays
    exactly one predicted branch and zero allocation. *)
 
-let wave_tap t = t.wave
 let wave_enabled t = Wave.Tap.enabled t.wave
 let wave_contents t = Wave.Tap.contents t.wave
-let wave_clear t = Wave.Tap.clear t.wave
-let wave_case_mark t ~id = Wave.Tap.case_mark t.wave ~cycle:t.cycle ~ctx:t.ctx ~id
 
 let tap t ~kind ~structure ~slot ~value =
   Wave.Tap.emit t.wave ~kind ~cycle:t.cycle ~structure ~slot ~ctx:t.ctx ~value
@@ -818,26 +815,6 @@ let flush_store_buffer t =
     tap t ~kind:Wave.Event.Flush ~structure:Structure.Store_buffer ~slot:0 ~value:1;
     advance t 2
 
-let flush_tlb t =
-  match flush_behaviour_of t Structure.Dtlb with
-  | Flush_dropped ->
-    log_fault t ~structure:Structure.Dtlb "DTLB flush dropped";
-    advance t 1
-  | Flush_partial ->
-    log_fault t ~structure:Structure.Dtlb "DTLB flush partial";
-    Tlb.drop_half t.dtlb;
-    Tlb.drop_half t.ptw_cache;
-    if wave_enabled t then
-      tap t ~kind:Wave.Event.Flush ~structure:Structure.Dtlb ~slot:0
-        ~value:(1 + Tlb.occupancy t.dtlb);
-    advance t 2
-  | Flush_normal ->
-    Tlb.flush t.dtlb;
-    Tlb.flush t.ptw_cache;
-    tap t ~kind:Wave.Event.Flush ~structure:Structure.Dtlb ~slot:0 ~value:1;
-    tap t ~kind:Wave.Event.Flush ~structure:Structure.Ptw_cache ~slot:0 ~value:1;
-    advance t 2
-
 let flush_bpu t =
   match flush_behaviour_of t Structure.Ubtb with
   | Flush_dropped ->
@@ -1050,7 +1027,6 @@ let stop_reason_to_string = function
 
 let set_ecall_handler t f = t.ecall_handler <- f
 let set_pending_interrupt t f = t.pending_interrupt <- Some f
-let clear_pending_interrupt t = t.pending_interrupt <- None
 
 let step_limit = 200_000
 

@@ -52,19 +52,11 @@ val cycle : t -> int
 
 (** {1 Wave tap} *)
 
-val wave_tap : t -> Wave.Tap.t
 val wave_enabled : t -> bool
 
 (** [wave_contents t] is the encoded event stream accumulated so far
     (empty when the tap is a noop). *)
 val wave_contents : t -> string
-
-(** [wave_clear t] truncates the stream to empty. *)
-val wave_clear : t -> unit
-
-(** [wave_case_mark t ~id] stamps a test-case boundary marker into the
-    stream at the current cycle. *)
-val wave_case_mark : t -> id:int -> unit
 
 (** [advance t n] burns [n] cycles (and the cycle CSR). *)
 val advance : t -> int -> unit
@@ -140,7 +132,6 @@ val memset_region :
 val flush_l1d : t -> unit
 val flush_lfb : t -> unit
 val flush_store_buffer : t -> unit
-val flush_tlb : t -> unit
 val flush_bpu : t -> unit
 val reset_hpcs : t -> unit
 
@@ -202,8 +193,10 @@ val set_advance_hook : t -> (t -> unit) option -> unit
 (** [set_flush_fault t ~structure behaviour] arms (or, with
     [Flush_normal], disarms) a flush fault.  The keyed structures are
     [L1d_data] ({!flush_l1d}), [Lfb] ({!flush_lfb}), [Store_buffer]
-    ({!flush_store_buffer}), [Dtlb] ({!flush_tlb}), [Ubtb]
-    ({!flush_bpu}) and [Hpm_counters] ({!reset_hpcs}). *)
+    ({!flush_store_buffer}), [Ubtb] ({!flush_bpu}) and [Hpm_counters]
+    ({!reset_hpcs}).  A fault keyed on any other structure (the fault
+    catalogue still arms [Dtlb]) is accepted but never fires: nothing
+    flushes that structure. *)
 val set_flush_fault : t -> structure:Structure.t -> flush_behaviour -> unit
 
 (** [set_pmp_stuck_grant t true] forces every data-path PMP check (loads,
@@ -249,8 +242,6 @@ val set_ecall_handler : t -> (t -> unit) -> unit
     transient window of a lazily-checked faulting CSR read (the M1
     scenario); it is cleared after firing. *)
 val set_pending_interrupt : t -> (t -> unit) -> unit
-
-val clear_pending_interrupt : t -> unit
 
 (** [run t prog] interprets [prog] from its base address until a [Halt],
     the end of the program, or the step limit.  Faults from the untrusted

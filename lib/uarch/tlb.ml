@@ -68,16 +68,6 @@ let translate entry ~vaddr =
 let flush t = Array.iter (fun s -> s.valid <- false) t.slots
 let occupancy t = Array.fold_left (fun n s -> if s.valid then n + 1 else n) 0 t.slots
 
-let drop_half t =
-  let i = ref 0 in
-  Array.iter
-    (fun s ->
-      if s.valid then begin
-        if !i mod 2 = 0 then s.valid <- false;
-        incr i
-      end)
-    t.slots
-
 let corrupt_bit t ~select ~bit =
   let valid = List.filter (fun s -> s.valid) (Array.to_list t.slots) in
   match valid with

@@ -36,10 +36,6 @@ val flush : t -> unit
 val occupancy : t -> int
 val snapshot : t -> Log.entry list
 
-(** [drop_half t] models a faulty flush: only every other valid entry is
-    invalidated, so half the translations survive. *)
-val drop_half : t -> unit
-
 (** [corrupt_bit t ~select ~bit] flips one PPN bit of one valid entry
     for fault injection ([select] picks the entry, both wrap).  Returns
     the entry's virtual page base and its new physical page base, or

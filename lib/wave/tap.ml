@@ -69,12 +69,3 @@ let ctx_switch t ~cycle ~from_ctx ~to_ctx =
       ~structure_id:Event.no_structure ~slot:0
       ~domain:(Event.domain_of_ctx from_ctx)
       ~value:(Event.domain_of_ctx to_ctx)
-
-let case_mark t ~cycle ~ctx ~id =
-  match t with
-  | Noop -> ()
-  | Active a ->
-    Event.encode a.buf ~kind:Event.Case_mark ~cycle
-      ~structure_id:Event.no_structure ~slot:0
-      ~domain:(Event.domain_of_ctx ctx)
-      ~value:id

@@ -94,6 +94,8 @@ let test_out_of_range_rejected () =
       ("fuzz", "--energy=-1");
       ("fuzz", "--energy=150");
       ("campaign", "--mitigation=prayer");
+      ("campaign", "--random=0");
+      ("campaign", "--random=-3");
     ];
   let code, _ =
     Cmds.eval_captured ~argv:[| "teesec_cli"; "symex"; "--max-paths=0" |]

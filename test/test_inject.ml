@@ -227,6 +227,41 @@ let test_flip_bit_empty_structure () =
         (Machine.flip_bit m ~structure ~select:5 ~bit:17))
     [ Structure.Store_buffer; Structure.Lfb ]
 
+(* Flush faults act only on the flushes a mitigation performs at a
+   context switch, so on an unmitigated core they never fire; and since
+   no mitigation flushes the DTLB, a DTLB flush fault never fires at
+   all.  Faults applied are summed over the slice for a one-fault plan
+   whose window covers the whole run. *)
+let test_flush_faults_need_a_mitigation () =
+  let applied config structure =
+    let fault =
+      {
+        Fault_plan.model = Fault_model.Flush_drop structure;
+        window_start = 0;
+        window_len = max_int / 2;
+        select = 0;
+        bit = 0;
+      }
+    in
+    let plan = { Fault_plan.id = 0; plan_seed = 0L; faults = [ fault ] } in
+    List.fold_left
+      (fun n tc ->
+        let ce = Inject_campaign.eval_case config [ plan ] tc in
+        n + snd ce.Inject_campaign.ce_units.(0))
+      0 (Mitigation_eval.slice ())
+  in
+  let flushed =
+    Config.with_mitigations Config.boom [ Uarch.Mitigation.Flush_everything ]
+  in
+  Alcotest.(check int) "flush-drop:l1d-cache, unmitigated" 0
+    (applied Config.boom Structure.L1d_data);
+  Alcotest.(check int) "flush-drop:l1d-cache, flush-everything" 50
+    (applied flushed Structure.L1d_data);
+  Alcotest.(check int) "flush-drop:dtlb, unmitigated" 0
+    (applied Config.boom Structure.Dtlb);
+  Alcotest.(check int) "flush-drop:dtlb, flush-everything" 0
+    (applied flushed Structure.Dtlb)
+
 (* {1 Corpus generator determinism (regression)} *)
 
 let testcase_fingerprint (tc : Testcase.t) = (Testcase.name tc, tc.Testcase.params)
@@ -293,6 +328,8 @@ let () =
             test_snapshot_delay_counts_down;
           Alcotest.test_case "flip_bit on empty structure is a no-op" `Quick
             test_flip_bit_empty_structure;
+          Alcotest.test_case "flush faults fire only under a flush mitigation"
+            `Quick test_flush_faults_need_a_mitigation;
         ] );
       ( "fuzzer",
         [

@@ -135,7 +135,6 @@ let test_message_roundtrips () =
       Protocol.Submit { spec = List.hd sample_specs; trace = true; wave = true };
       Protocol.Status;
       Protocol.Results { job = "abc123"; wait = true };
-      Protocol.Ping;
       Protocol.Shutdown;
     ]
   in
@@ -183,7 +182,6 @@ let test_message_roundtrips () =
         };
       Protocol.Pending js;
       Protocol.Failed { job = "deadbeef"; reason = "poisoned" };
-      Protocol.Pong { build = "1.1.0" };
       Protocol.Shutting_down;
       Protocol.Error_msg "nope";
     ]
@@ -286,7 +284,7 @@ let test_worker_message_roundtrips () =
     worker_replies
 
 let test_decode_rejects_trailing () =
-  let frame = Protocol.encode_client_msg Protocol.Ping ^ "x" in
+  let frame = Protocol.encode_client_msg Protocol.Status ^ "x" in
   Alcotest.check_raises "trailing bytes rejected"
     (Codec.Decode_error "trailing bytes after message") (fun () ->
       ignore (Protocol.decode_client_msg frame))
@@ -510,7 +508,13 @@ let test_planner_rejects_unknown () =
    on every one of them. *)
 let out_of_range_specs =
   let fuzz f = Request.Fuzz { core = "boom"; options = f Fuzz.Engine.default } in
+  let random count =
+    Request.Campaign
+      { core = "boom"; mitigations = []; corpus = Request.Random { count; seed = 1L } }
+  in
   [
+    ("random count = 0", random 0);
+    ("random count < 0", random (-3));
     ("faults < 0", Request.Inject { core = "boom"; faults = -1; seed = 1L; full = false });
     ("budget < 0", fuzz (fun o -> { o with Fuzz.Engine.budget = -1 }));
     ("batch = 0", fuzz (fun o -> { o with Fuzz.Engine.batch = 0 }));
@@ -595,12 +599,9 @@ let test_local_fuzz_matches_oneshot () =
 (* {1 The daemon, end to end} *)
 
 let daemon_config dir =
-  let cfg =
-    Daemon.default_config
-      ~socket_path:(Filename.concat dir "teesec.sock")
-      ~store_root:(Filename.concat dir "store")
-  in
-  { cfg with Daemon.backoff_base = 0.01; backoff_cap = 0.05 }
+  Daemon.default_config
+    ~socket_path:(Filename.concat dir "teesec.sock")
+    ~store_root:(Filename.concat dir "store")
 
 let with_daemon cfg f =
   let pid = Daemon.spawn cfg in
@@ -650,9 +651,6 @@ let test_daemon_end_to_end () =
       (* Cold run: everything executes. *)
       let hits_cold, executed_cold =
         with_daemon cfg (fun client ->
-            Alcotest.(check bool)
-              "handshake reports the build" true
-              (Client.server_build client = Protocol.build_version);
             let js, data = submit_and_fetch client slice_spec in
             Alcotest.(check string) "cold artifact = one-shot" expected data;
             let st =
@@ -660,6 +658,9 @@ let test_daemon_end_to_end () =
               | Ok st -> st
               | Error e -> Alcotest.fail e
             in
+            Alcotest.(check string)
+              "status reports the build" Protocol.version_string
+              st.Protocol.st_version;
             Alcotest.(check int)
               "every shard executed exactly once" js.Protocol.js_total
               st.Protocol.st_shards_executed;
@@ -982,6 +983,85 @@ let test_daemon_merged_trace () =
             Alcotest.(check int) "one shard span per executed shard"
               st.Protocol.st_shards_executed spans))
 
+(* One event path: every daemon-side instant of a traced job's merged
+   trace is also a line of the daemon's JSONL log, with the same event
+   name and the same fields in the same order. *)
+let test_daemon_log_matches_trace () =
+  with_temp_dir "serve_log" (fun dir ->
+      let log_path = Filename.concat dir "serve.jsonl" in
+      let slog = Obs.Log.open_file ~deterministic:true log_path in
+      let cfg = { (daemon_config dir) with Daemon.slog } in
+      let art =
+        Fun.protect
+          ~finally:(fun () -> Obs.Log.close slog)
+          (fun () ->
+            with_daemon cfg (fun client ->
+                snd (submit_and_fetch_full ~trace:true client slice_spec)))
+      in
+      let obj_fields = function
+        | Obs.Json.Obj kvs -> kvs
+        | _ -> Alcotest.fail "expected a JSON object"
+      in
+      let lines =
+        In_channel.with_open_text log_path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+        |> List.map (fun l -> obj_fields (Obs.Json.parse_exn l))
+      in
+      let logged =
+        List.map
+          (fun kvs ->
+            ( List.assoc "event" kvs,
+              List.filter (fun (k, _) -> k <> "level" && k <> "event") kvs ))
+          lines
+      in
+      let trace =
+        match art.Client.trace with
+        | Some j -> Obs.Json.parse_exn j
+        | None -> Alcotest.fail "no trace returned"
+      in
+      let events =
+        Option.get (Option.bind (Obs.Json.member "traceEvents" trace) Obs.Json.to_list)
+      in
+      let daemon_pid =
+        List.find_map
+          (fun ev ->
+            match
+              Option.bind (Obs.Json.member "args" ev) (Obs.Json.string_field "name")
+            with
+            | Some "teesec-daemon" -> Obs.Json.member "pid" ev
+            | _ -> None)
+          events
+      in
+      let instants =
+        List.filter
+          (fun ev ->
+            Obs.Json.string_field "ph" ev = Some "i"
+            && Obs.Json.member "pid" ev = daemon_pid)
+          events
+      in
+      let names =
+        List.map (fun ev -> Option.get (Obs.Json.string_field "name" ev)) instants
+      in
+      List.iter
+        (fun want ->
+          Alcotest.(check bool) (want ^ " instant present") true
+            (List.mem want names))
+        [ "submit"; "dispatch"; "shard_done"; "job_done" ];
+      List.iter
+        (fun ev ->
+          let name = Option.get (Obs.Json.string_field "name" ev) in
+          let args =
+            match Obs.Json.member "args" ev with
+            | Some a -> obj_fields a
+            | None -> []
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s instant is also a log line" name)
+            true
+            (List.mem (Obs.Json.Str name, args) logged))
+        instants)
+
 (* Tracing must not perturb verdicts: cold runs with tracing on and off
    (separate stores, so neither short-circuits through the other's
    verdicts) produce byte-identical artifacts at several worker
@@ -1041,7 +1121,7 @@ let test_daemon_rejects_protocol_mismatch () =
           match Client.connect ~socket_path:cfg.Daemon.socket_path with
           | Error e -> Alcotest.fail e
           | Ok client ->
-            (match Client.ping client with
+            (match Client.status client with
             | Ok _ -> ()
             | Error e -> Alcotest.fail e);
             (match Client.shutdown client with
@@ -1109,6 +1189,8 @@ let () =
         [
           quick "merged trace: balanced, clock-aligned, every worker pid"
             test_daemon_merged_trace;
+          quick "daemon instants and JSONL log share one event path"
+            test_daemon_log_matches_trace;
           quick "tracing does not perturb artifacts (workers 1 and 4)"
             test_trace_does_not_perturb_artifacts;
         ] );
